@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-baseline obs-guard ingest-guard kernel-guard overload-guard crash replica-crash fuzz-smoke ci
+.PHONY: build test race bench bench-check bench-baseline e2e e2e-compare obs-guard ingest-guard kernel-guard overload-guard crash replica-crash fuzz-smoke ci
 
 ## build: compile every package and the aimbench binary
 build:
@@ -17,6 +17,14 @@ race:
 ## bench: fused shared-scan batch microbenchmark (single vs naive vs fused)
 bench:
 	$(GO) test -bench BenchmarkSharedScanBatch -benchmem -run '^$$' ./internal/query/
+
+## e2e: the repository benchmark (BENCHMARK.json) — builds aimserver, runs the four e2ebench workloads end to end over loopback TCP and checks their outputs
+e2e:
+	bash e2ebench/run.sh
+
+## e2e-compare: compare two recorded e2ebench result sets, e.g. make e2e-compare A=benchmarks/results/pr12/parent B=benchmarks/results/pr12/change (paths relative to the repository root, or absolute)
+e2e-compare:
+	$(GO) run -C e2ebench . -compare $(abspath $(A)) $(abspath $(B))
 
 ## bench-check: regression gate — run the smoke and tiered scenarios and compare against the checked-in CI baselines (wide noise band; catches collapses, not drift)
 bench-check:
@@ -37,7 +45,7 @@ obs-guard:
 ingest-guard:
 	AIM_INGEST_GUARD=1 $(GO) test -run TestIngestBatchGuard -v ./internal/bench/
 
-## kernel-guard: check scan compares stay closure-free and split-phase apply beats eager
+## kernel-guard: check scan compares stay closure-free, the grouped scan stays within 4x a global SUM, and split-phase apply beats eager
 kernel-guard:
 	AIM_KERNEL_GUARD=1 $(GO) test -run TestKernelGuard -v ./internal/bench/
 
@@ -53,12 +61,14 @@ crash:
 replica-crash:
 	AIM_REPL_KILLS=50 $(GO) test -run TestReplicaFailoverKillCampaign -v -timeout 30m ./internal/crashharness/
 
-## fuzz-smoke: 10s of fuzzing per durability decoder (archive frames, checkpoint files, event codec) and per compressed-chunk kernel family
+## fuzz-smoke: 10s of fuzzing per durability decoder (archive frames, checkpoint files, event codec), per compressed-chunk kernel family and per socket-facing query decoder
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenSegment -fuzztime 10s ./internal/archive/
 	$(GO) test -run '^$$' -fuzz FuzzReadFile -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/event/
 	$(GO) test -run '^$$' -fuzz FuzzChunkKernels -fuzztime 10s ./internal/vec/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/query/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime 10s ./internal/query/
 
 ## ci: full gate — vet, build, race-detect the whole tree, metrics overhead guard, crash + fuzz smoke
 ci:

@@ -6,7 +6,9 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/query"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -20,6 +22,10 @@ import (
 //  2. Split-phase batched apply (ingest per event + one materialize per
 //     run) must not be slower than eager per-event apply on coalesced
 //     runs — if it is, the deferred-materialize plumbing has broken.
+//  3. The grouped scan must stay columnar: match-all Q3 (GROUP BY with two
+//     sums) may cost at most 4x a match-all global SUM of Q3's first column
+//     per record. The per-record map probe and type switch it replaced ran
+//     >15x.
 //
 // Timing-sensitive, so it only runs under AIM_KERNEL_GUARD=1
 // (`make kernel-guard`).
@@ -107,13 +113,72 @@ func TestKernelGuard(t *testing.T) {
 			dictBest, dictBest/intBest, intBest)
 	}
 
-	// --- Split-phase apply on the 114-indicator schema: a deferred run of
-	// 16 must beat eager per-event apply. The true gain is ~2x; requiring
-	// only parity keeps the guard flake-free under a noisy scheduler.
 	sch, err := workload.BuildSmallSchema()
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// --- Grouped scan against a global SUM on one partition-sized matrix
+	// (20 buckets of 3072 compact records, one applied event each),
+	// interleaved best-of-5 like the compare kernels.
+	dims, err := workload.BuildDimensions(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bucketSize, numBuckets = 3072, 20
+	part := core.NewPartition(sch, bucketSize, dims.Factory(sch))
+	egen := event.NewGenerator(bucketSize*numBuckets, 42)
+	var pev event.Event
+	for e := uint64(1); e <= bucketSize*numBuckets; e++ {
+		egen.NextFor(&pev, e)
+		part.ApplyEvent(&pev)
+	}
+	part.MergeStep()
+	buckets := part.ScanSnapshot()
+	qg, err := workload.NewQueryGen(sch, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q3 := qg.Q3()
+	sum := &query.Query{ID: 1, Aggs: q3.Aggs[:1], GroupBy: -1}
+	scanNs := func(q *query.Query) float64 {
+		plan, err := query.CompileBatch(sch, []*query.Query{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := query.NewExecutor(sch, dims.Store)
+		partials := []*query.Partial{query.NewPartial(q)}
+		d := timeBest(3, func() {
+			partials[0].Reset(q)
+			for _, b := range buckets {
+				if err := ex.ProcessBucketBatch(b, plan, partials); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		return float64(d.Nanoseconds()) / (bucketSize * numBuckets)
+	}
+	var sumBest, q3Best float64
+	for round := 0; round < 5; round++ {
+		s, g := scanNs(sum), scanNs(q3)
+		if round == 0 || s < sumBest {
+			sumBest = s
+		}
+		if round == 0 || g < q3Best {
+			q3Best = g
+		}
+	}
+	t.Logf("match-all global SUM %.2f ns/record, match-all Q3 %.2f ns/record (%.2fx)",
+		sumBest, q3Best, q3Best/sumBest)
+	const groupBand = 4.0
+	if q3Best > groupBand*sumBest {
+		t.Errorf("match-all Q3 %.2f ns/record is %.2fx a global SUM (%.2f): per-record dispatch has crept back into the grouped scan",
+			q3Best, q3Best/sumBest, sumBest)
+	}
+
+	// --- Split-phase apply on the 114-indicator schema: a deferred run of
+	// 16 must beat eager per-event apply. The true gain is ~2x; requiring
+	// only parity keeps the guard flake-free under a noisy scheduler.
 	const nev = 50_000
 	evs := make([]event.Event, nev)
 	gen := event.NewGenerator(1, 42)

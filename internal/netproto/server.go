@@ -128,6 +128,15 @@ func (s *Server) acceptLoop() {
 			conn = s.cfg.ConnWrap(conn)
 		}
 		s.mu.Lock()
+		select {
+		case <-s.quit:
+			// Accepted while Close was closing the registered connections:
+			// registering now would leave a handler nobody ever closes.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)

@@ -37,6 +37,12 @@ type BatchPlan struct {
 	twin    []int32     // per predicate: slab index of the complement twin, or -1
 	progs   []queryProg
 	dupOf   []int32 // per query: index of the representative duplicate (== own index if none)
+	// groups are the batch's distinct group specs and groupOf maps each
+	// query to its spec (-1 for global queries): the executor computes one
+	// gid vector per spec per bucket and every query with that spec shares
+	// it.
+	groups  []groupSpec
+	groupOf []int32
 }
 
 // queryProg is one query's filter program over the plan's predicate slab.
@@ -74,7 +80,20 @@ func complementOp(op vec.CmpOp) (vec.CmpOp, bool) {
 func CompileBatch(sch *schema.Schema, queries []*Query) (*BatchPlan, error) {
 	plan := &BatchPlan{queries: queries, progs: make([]queryProg, len(queries))}
 	index := make(map[Predicate]int32)
+	plan.groupOf = make([]int32, len(queries))
+	groupIndex := make(map[groupSpec]int32)
 	for qi, q := range queries {
+		plan.groupOf[qi] = -1
+		if q.GroupBy >= 0 {
+			spec := specOf(q)
+			slot, ok := groupIndex[spec]
+			if !ok {
+				slot = int32(len(plan.groups))
+				plan.groups = append(plan.groups, spec)
+				groupIndex[spec] = slot
+			}
+			plan.groupOf[qi] = slot
+		}
 		prog := &plan.progs[qi]
 		if len(q.Where) == 0 {
 			prog.matchAll = true
@@ -251,10 +270,10 @@ func (bp *BatchPlan) FoldDuplicates(partials []*Partial) {
 // are not scanned at all — call plan.FoldDuplicates(partials) once after
 // the pass to fill them in.
 //
-// The steady-state path performs no heap allocations for non-grouped
-// queries: the slab and scratch masks are pooled in the executor, sized on
-// first use to the batch's distinct-predicate count times the bucket's mask
-// words.
+// The steady-state path performs no heap allocations: the mask and gid
+// slabs, scratch masks, group tables and dense accumulators are pooled in
+// the executor, sized on first use, and group rows come from the partial's
+// own slab.
 func (ex *Executor) ProcessBucketBatch(b columnmap.Bucket, plan *BatchPlan, partials []*Partial) error {
 	if len(partials) != len(plan.queries) {
 		return fmt.Errorf("query: batch has %d queries but %d partials", len(plan.queries), len(partials))
@@ -266,8 +285,9 @@ func (ex *Executor) ProcessBucketBatch(b columnmap.Bucket, plan *BatchPlan, part
 	ex.ensureScratch(n)
 	w := vec.MaskWords(n)
 	slab := ex.ensureSlab(len(plan.preds) * w)
-	if len(ex.gcache) < len(plan.queries) {
-		ex.gcache = append(ex.gcache, make([]groupCache, len(plan.queries)-len(ex.gcache))...)
+	ex.beginBucket(len(plan.groups), n)
+	if len(ex.grows) < len(plan.queries) {
+		ex.grows = append(ex.grows, make([]groupRows, len(plan.queries)-len(ex.grows))...)
 	}
 
 	// Fill the mask slab: one mask per distinct predicate, columns touched
@@ -319,7 +339,9 @@ func (ex *Executor) ProcessBucketBatch(b columnmap.Bucket, plan *BatchPlan, part
 				vec.Or(acc, ex.conj)
 			}
 		}
-		if err := ex.aggregate(b, q, partials[qi], acc, &ex.gcache[qi]); err != nil {
+		if q.GroupBy < 0 {
+			ex.aggregateGlobal(b, q, partials[qi], acc)
+		} else if err := ex.aggregateGrouped(b, q, partials[qi], acc, int(plan.groupOf[qi]), &ex.grows[qi]); err != nil {
 			return err
 		}
 	}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// setupBench populates an 8k-entity matrix over the small Huawei schema and
-// returns the scan fixtures.
-func setupBench(b *testing.B) (*schema.Schema, []columnmap.Bucket, *workload.QueryGen, *workload.Dimensions) {
+// setupBench populates a matrix of the given shape over the small Huawei
+// schema and returns the scan fixtures.
+func setupBench(b testing.TB, entities uint64, bucketSize int) (*schema.Schema, []columnmap.Bucket, *workload.QueryGen, *workload.Dimensions) {
 	b.Helper()
 	sch, err := workload.BuildSmallSchema()
 	if err != nil {
@@ -22,7 +22,7 @@ func setupBench(b *testing.B) (*schema.Schema, []columnmap.Bucket, *workload.Que
 	if err != nil {
 		b.Fatal(err)
 	}
-	cm := populateMatrix(b, sch, dims, 8192, 1024)
+	cm := populateMatrix(b, sch, dims, entities, bucketSize)
 	gen, err := workload.NewQueryGen(sch, 7)
 	if err != nil {
 		b.Fatal(err)
@@ -60,7 +60,7 @@ func templateBatch(gen *workload.QueryGen, size int) []*query.Query {
 //   - fused:  compiled BatchPlan — predicate dedup, complement sharing,
 //     mask-slab caching, duplicate-query elimination.
 func BenchmarkSharedScanBatch(b *testing.B) {
-	sch, buckets, gen, dims := setupBench(b)
+	sch, buckets, gen, dims := setupBench(b, 8192, 1024)
 	for _, size := range []int{1, 4, 8, 16} {
 		queries := templateBatch(gen, size)
 		partials := make([]*query.Partial, len(queries))
@@ -120,6 +120,39 @@ func BenchmarkSharedScanBatch(b *testing.B) {
 				}
 				plan.FoldDuplicates(partials)
 			}
+		})
+	}
+}
+
+// BenchmarkTemplateScan is the query layer's fixed-shape benchmark: one
+// partition's worth of compact records at the server's default bucket size
+// (20 buckets of 3072, the per-partition shape of e2ebench's scan_saturate),
+// each of the seven templates scanned alone through the fused batch path
+// with a pooled partial. ns/record is the per-template split of a scan
+// round's cost.
+func BenchmarkTemplateScan(b *testing.B) {
+	const bucketSize, numBuckets = 3072, 20
+	sch, buckets, gen, dims := setupBench(b, bucketSize*numBuckets, bucketSize)
+	for ti, q := range templateBatch(gen, 7) {
+		b.Run(fmt.Sprintf("Q%d", ti+1), func(b *testing.B) {
+			queries := []*query.Query{q}
+			plan, err := query.CompileBatch(sch, queries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ex := query.NewExecutor(sch, dims.Store)
+			partials := []*query.Partial{query.NewPartial(q)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				partials[0].Reset(q)
+				for _, bk := range buckets {
+					if err := ex.ProcessBucketBatch(bk, plan, partials); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(bucketSize*numBuckets), "ns/record")
 		})
 	}
 }

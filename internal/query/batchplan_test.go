@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/vec"
@@ -196,11 +197,16 @@ func TestProcessBucketBatchPartialsMismatch(t *testing.T) {
 }
 
 // TestProcessBucketBatchZeroAllocs is the zero-allocation acceptance check:
-// after the first round warms the executor's slab, scratch masks and the
-// partials' group rows, steady-state bucket processing of non-grouped
-// queries must not touch the heap.
+// once the first round has warmed the executor's slabs, group tables and
+// scratch and sized the partials' row slabs, every later scan round — pooled
+// partials Reset, every bucket processed, duplicates folded — must not touch
+// the heap, grouped queries included, from the second round on. The batch holds global
+// aggregates, arg aggregates and the three grouped template shapes: Q3
+// (match-all GROUP BY an attribute), Q4 (filtered, dimension-joined group,
+// AVG + SUM) and Q5 (two-predicate filter, dimension-joined group).
 func TestProcessBucketBatchZeroAllocs(t *testing.T) {
 	f := newFixture(t)
+	city := &DimJoin{Table: "RegionInfo", Column: "city"}
 	queries := []*Query{
 		{ID: 1, Where: []Conjunct{{PredInt(f.calls, vec.Gt, 4)}},
 			Aggs: []AggExpr{{Op: OpCount}}, GroupBy: -1},
@@ -209,6 +215,14 @@ func TestProcessBucketBatchZeroAllocs(t *testing.T) {
 		{ID: 3, Aggs: []AggExpr{{Op: OpAvg, Attr: f.cost}}, GroupBy: -1},
 		{ID: 4, Where: []Conjunct{{PredInt(f.zip, vec.Ne, 1001)}},
 			Aggs: []AggExpr{{Op: OpArgMax, Attr: f.dur}, {Op: OpArgMinRatio, Attr: f.cost, Attr2: f.dur}}, GroupBy: -1},
+		{ID: 5, Aggs: []AggExpr{{Op: OpSum, Attr: f.cost}, {Op: OpSum, Attr: f.dur}},
+			GroupBy: f.calls, Derived: []Ratio{{Num: 0, Den: 1}}, Limit: 100},
+		{ID: 6, Where: []Conjunct{{PredInt(f.calls, vec.Gt, 2), PredInt(f.dur, vec.Gt, 20)}},
+			Aggs: []AggExpr{{Op: OpAvg, Attr: f.calls}, {Op: OpSum, Attr: f.dur}}, GroupBy: f.zip, GroupDim: city},
+		{ID: 7, Where: []Conjunct{{PredInt(f.calls, vec.Ne, 5), PredInt(f.dur, vec.Ne, 70)}},
+			Aggs: []AggExpr{{Op: OpSum, Attr: f.cost}, {Op: OpSum, Attr: f.dur}}, GroupBy: f.zip, GroupDim: city},
+		{ID: 8, Aggs: []AggExpr{{Op: OpSum, Attr: f.cost}, {Op: OpSum, Attr: f.dur}},
+			GroupBy: f.calls, Derived: []Ratio{{Num: 0, Den: 1}}, Limit: 100}, // duplicate of 5
 	}
 	plan, err := CompileBatch(f.sch, queries)
 	if err != nil {
@@ -216,19 +230,36 @@ func TestProcessBucketBatchZeroAllocs(t *testing.T) {
 	}
 	ex := NewExecutor(f.sch, f.dims)
 	partials := make([]*Partial, len(queries))
-	for qi, q := range queries {
-		partials[qi] = NewPartial(q)
+	for qi := range queries {
+		partials[qi] = &Partial{} // pooled, as in the node's scan loop
 	}
 	buckets := f.cm.Snapshot()
-	scan := func() {
+	round := func() {
+		for qi, q := range queries {
+			partials[qi].Reset(q)
+		}
 		for _, b := range buckets {
 			if err := ex.ProcessBucketBatch(b, plan, partials); err != nil {
 				t.Fatal(err)
 			}
 		}
+		plan.FoldDuplicates(partials)
 	}
-	scan() // warm slab, scratch and group rows
-	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
-		t.Fatalf("steady-state ProcessBucketBatch allocates %.1f objects per scan, want 0", allocs)
+	round() // warm slabs, tables and scratch; size the partials' row slabs
+	// AllocsPerRun runs one unmeasured warm-up call, so count the second
+	// round by hand.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Fatalf("second scan round allocates %d objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state scan round allocates %.1f objects, want 0", allocs)
+	}
+	if got := len(partials[4].Groups); got != 10 {
+		t.Fatalf("grouped partial holds %d groups after the allocation-free rounds, want 10", got)
 	}
 }

@@ -33,6 +33,17 @@ type rbuf struct {
 	err error
 }
 
+// Encoded sizes the decoders check wire counts against: a predicate, a cell,
+// and a group key with an empty string.
+const (
+	predicateBytes = 4 + 1 + 8
+	cellBytes      = 8 + 8 + 8 + 8 + 8 + 8 + 1
+	groupKeyBytes  = 8 + 2
+)
+
+// left returns how many bytes remain unread.
+func (r *rbuf) left() int { return len(r.b) - r.off }
+
 func (r *rbuf) fail() {
 	if r.err == nil {
 		r.err = fmt.Errorf("query: truncated frame at offset %d", r.off)
@@ -140,9 +151,15 @@ func EncodeQuery(q *Query) []byte {
 func DecodeQuery(b []byte) (*Query, error) {
 	r := rbuf{b: b}
 	q := &Query{ID: r.u64(), Template: r.u8()}
+	// Every loop stops at the first short read: the counts come off the
+	// wire, and a truncated frame must not buy count-many failing reads.
 	nc := int(r.u16())
-	for i := 0; i < nc; i++ {
+	for i := 0; i < nc && r.err == nil; i++ {
 		np := int(r.u16())
+		if np > r.left()/predicateBytes {
+			r.fail()
+			break
+		}
 		c := make(Conjunct, 0, np)
 		for j := 0; j < np; j++ {
 			c = append(c, Predicate{
@@ -154,7 +171,7 @@ func DecodeQuery(b []byte) (*Query, error) {
 		q.Where = append(q.Where, c)
 	}
 	na := int(r.u16())
-	for i := 0; i < na; i++ {
+	for i := 0; i < na && r.err == nil; i++ {
 		q.Aggs = append(q.Aggs, AggExpr{
 			Op:    AggOp(r.u8()),
 			Attr:  int(r.u32()),
@@ -167,7 +184,7 @@ func DecodeQuery(b []byte) (*Query, error) {
 	}
 	q.GroupDictNames = r.u8() == 1
 	nd := int(r.u16())
-	for i := 0; i < nd; i++ {
+	for i := 0; i < nd && r.err == nil; i++ {
 		q.Derived = append(q.Derived, Ratio{Num: int(r.u32()), Den: int(r.u32())})
 	}
 	q.Limit = int(r.u32())
@@ -213,6 +230,12 @@ func DecodePartial(b []byte) (*Partial, error) {
 		return nil, fmt.Errorf("query: implausible aggregate arity %d", p.NumAggs)
 	}
 	ng := int(r.u32())
+	// The group count sizes the map, so check it against what the frame can
+	// hold before trusting it.
+	if ng > r.left()/(groupKeyBytes+p.NumAggs*cellBytes) {
+		r.fail()
+		return nil, r.err
+	}
 	p.Groups = make(map[GroupKey][]Cell, ng)
 	for i := 0; i < ng; i++ {
 		key := GroupKey{I: r.i64(), S: r.str()}

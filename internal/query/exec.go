@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/columnmap"
 	"repro/internal/dimension"
@@ -14,8 +13,8 @@ import (
 // Executor evaluates queries over ColumnMap buckets. One Executor belongs to
 // one scan goroutine (see the package doc for the thread-confinement
 // contract): it owns reusable bitmask scratch buffers, the batch-plan mask
-// slab, and a dimension lookup cache, so steady-state bucket processing is
-// allocation-free for non-grouped queries.
+// and gid slabs, the group tables and a dimension lookup cache, so
+// steady-state bucket processing is allocation-free.
 type Executor struct {
 	sch  *schema.Schema
 	dims *dimension.Store
@@ -24,47 +23,32 @@ type Executor struct {
 	conj []uint64 // current conjunct mask
 	pred []uint64 // current predicate mask
 	slab []uint64 // per-bucket mask cache for batch plans (one mask per distinct predicate)
-	idx  []int32  // matched-record index slab for the grouped path
+	idx  []int32  // matched-record index slab for the grouped and arg paths
 
-	// gcache holds one group-row cache per batch-query position: raw group
-	// column value -> the partial's accumulator row. It replaces the
-	// per-record GroupKey (string hash) map lookup of the grouped path with
-	// a uint64 one while a scan pass runs.
-	gcache []groupCache
+	// Grouped path (group.go): retained group tables, the per-bucket gid
+	// slab (one vector per distinct group spec of the batch, state in
+	// gidSlots), one row memo per batch-query position, and the dense
+	// accumulators the vec group kernels fold into.
+	tables     []*groupTable
+	tableClock uint64
+	gids       []int32
+	gidSlots   []gidSlot
+	grows      []groupRows
+	cnt        []int64
+	accf       []float64
+	touched    []int32
+	vals, dens []float64 // gathered arg-aggregate operands
 
 	// Cold-tier scan support: per-column pooled scratch for frozen buckets
-	// whose shape has no direct chunk kernel (and for per-record paths like
-	// group-by and arg aggregates). Keyed by the FrozenBucket pointer, so a
-	// column is decompressed at most once per bucket per pass and the
-	// backing arrays are reused across buckets.
+	// whose shape has no direct chunk kernel (and for the group-by and arg
+	// paths). Keyed by the FrozenBucket pointer, so a column is
+	// decompressed at most once per bucket per pass and the backing arrays
+	// are reused across buckets.
 	thawRef   *columnmap.FrozenBucket
 	thawBufs  [][]uint64
 	thawValid []bool
 
 	dimCache map[DimJoin]map[uint64]string
-}
-
-// groupCache memoizes group-column values to accumulator rows of one
-// partial. It stays valid as long as it observes the same (partial,
-// generation) pair; pooled partials bump their generation on Reset.
-type groupCache struct {
-	p    *Partial
-	gen  uint64
-	rows map[uint64][]Cell // nil row = group dropped (failed dim/dict join)
-}
-
-// rowsFor returns the cache's row map, emptied if the cache was bound to a
-// different partial or an earlier generation of p.
-func (gc *groupCache) rowsFor(p *Partial) map[uint64][]Cell {
-	if gc.rows == nil {
-		gc.rows = make(map[uint64][]Cell)
-	} else if gc.p != p || gc.gen != p.gen {
-		for k := range gc.rows {
-			delete(gc.rows, k)
-		}
-	}
-	gc.p, gc.gen = p, p.gen
-	return gc.rows
 }
 
 // NewExecutor returns an executor bound to a schema and the node's
@@ -126,17 +110,15 @@ func (ex *Executor) ProcessBucket(b columnmap.Bucket, q *Query, p *Partial) erro
 			vec.Or(ex.acc, ex.conj)
 		}
 	}
-	return ex.aggregate(b, q, p, ex.acc, nil)
-}
-
-// aggregate folds the records selected by mask into p. gc may be nil; the
-// batch path passes a per-query group cache.
-func (ex *Executor) aggregate(b columnmap.Bucket, q *Query, p *Partial, mask []uint64, gc *groupCache) error {
 	if q.GroupBy < 0 {
-		ex.aggregateGlobal(b, q, p, mask)
+		ex.aggregateGlobal(b, q, p, ex.acc)
 		return nil
 	}
-	return ex.aggregateGrouped(b, q, p, mask, gc)
+	ex.beginBucket(1, n)
+	if len(ex.grows) == 0 {
+		ex.grows = make([]groupRows, 1)
+	}
+	return ex.aggregateGrouped(b, q, p, ex.acc, 0, &ex.grows[0])
 }
 
 // evalPredicate fills mask with the predicate result over the bucket.
@@ -205,6 +187,7 @@ func (ex *Executor) aggregateGlobal(b columnmap.Bucket, q *Query, p *Partial, ma
 		return
 	}
 	cells := p.cells(GroupKey{})
+	var idx []int32 // materialized once, by the first arg aggregate
 	for i, a := range q.Aggs {
 		cell := &cells[i]
 		cell.Count += matched
@@ -222,7 +205,11 @@ func (ex *Executor) aggregateGlobal(b columnmap.Bucket, q *Query, p *Partial, ma
 				cell.Max = v
 			}
 		default:
-			ex.argScan(b, a, cell, mask)
+			if idx == nil {
+				ex.idx = vec.Indices(mask, ex.idx)
+				idx = ex.idx
+			}
+			ex.foldArg(b, a, idx, cell, nil, nil, 0)
 		}
 	}
 }
@@ -288,147 +275,24 @@ func (ex *Executor) maskedMax(b columnmap.Bucket, attr int, mask []uint64) (floa
 	return float64(v), ok
 }
 
-// argScan folds arg-style aggregates (entity-id of extreme value), which
-// need per-record iteration. The mask words are walked inline rather than
-// through vec.ForEach so the hot batch path stays closure- and
-// allocation-free.
-func (ex *Executor) argScan(b columnmap.Bucket, a AggExpr, cell *Cell, mask []uint64) {
-	ids := ex.col(b, schema.SlotEntityID)
-	col := ex.col(b, a.Attr)
-	t := ex.sch.Attrs[a.Attr].Type
-	var col2 []uint64
-	var t2 schema.Type
-	ratio := a.Op == OpArgMinRatio || a.Op == OpArgMaxRatio
-	if ratio {
-		col2 = ex.col(b, a.Attr2)
-		t2 = ex.sch.Attrs[a.Attr2].Type
+// argBetter reports whether candidate (v, id) beats the current extreme
+// (best, bestID) of an arg aggregate. Ties on the value go to the lower
+// entity id, so the winner depends neither on record order nor on the order
+// partials are merged in.
+func argBetter(op AggOp, v float64, id uint64, best float64, bestID uint64) bool {
+	if v == best {
+		return id < bestID
 	}
-	for wi, w := range mask {
-		base := wi * 64
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			v := slotVal(col[i], t)
-			if ratio {
-				den := slotVal(col2[i], t2)
-				if den == 0 {
-					continue
-				}
-				v /= den
-			}
-			updateArg(cell, a.Op, ids[i], v)
-		}
+	if op == OpArgMax || op == OpArgMaxRatio {
+		return v > best
 	}
+	return v < best
 }
 
 func updateArg(cell *Cell, op AggOp, id uint64, v float64) {
-	better := !cell.ArgSet
-	if !better {
-		switch op {
-		case OpArgMax, OpArgMaxRatio:
-			better = v > cell.ArgVal
-		case OpArgMin, OpArgMinRatio:
-			better = v < cell.ArgVal
-		}
-	}
-	if better {
+	if !cell.ArgSet || argBetter(op, v, id, cell.ArgVal, cell.ArgKey) {
 		cell.ArgKey, cell.ArgVal, cell.ArgSet = id, v, true
 	}
-}
-
-// resolveGroup maps a raw group-column value to the partial's accumulator
-// row, or nil when inner-join semantics drop the group (unmatched dimension
-// or dictionary key).
-func resolveGroup(p *Partial, gv uint64, dimMap map[uint64]string, dict *schema.Dict) []Cell {
-	var key GroupKey
-	switch {
-	case dimMap != nil:
-		s, ok := dimMap[gv]
-		if !ok {
-			return nil
-		}
-		key.S = s
-	case dict != nil:
-		s, ok := dict.String(gv)
-		if !ok {
-			return nil
-		}
-		key.S = s
-	default:
-		key.I = int64(gv)
-	}
-	return p.cells(key)
-}
-
-// aggregateGrouped is the per-record group-by path. With a group cache the
-// (hash-expensive) GroupKey resolution runs once per distinct group value
-// per scan pass; every further record is one uint64 map probe.
-func (ex *Executor) aggregateGrouped(b columnmap.Bucket, q *Query, p *Partial, mask []uint64, gc *groupCache) error {
-	gcol := ex.col(b, q.GroupBy)
-	ids := ex.col(b, schema.SlotEntityID)
-	var dimMap map[uint64]string
-	if q.GroupDim != nil {
-		var err error
-		dimMap, err = ex.dimLookupMap(*q.GroupDim)
-		if err != nil {
-			return err
-		}
-	}
-	var dict *schema.Dict
-	if q.GroupDictNames {
-		dict = ex.sch.Dict(q.GroupBy)
-	}
-	var rows map[uint64][]Cell
-	if gc != nil {
-		rows = gc.rowsFor(p)
-	}
-	ex.idx = vec.Indices(mask, ex.idx)
-	for _, i32 := range ex.idx {
-		i := int(i32)
-		gv := gcol[i]
-		var cells []Cell
-		if rows != nil {
-			var hit bool
-			cells, hit = rows[gv]
-			if !hit {
-				cells = resolveGroup(p, gv, dimMap, dict)
-				rows[gv] = cells // nil remembers dropped groups too
-			}
-		} else {
-			cells = resolveGroup(p, gv, dimMap, dict)
-		}
-		if cells == nil {
-			continue // inner-join semantics: unmatched keys drop out
-		}
-		for ai, a := range q.Aggs {
-			cell := &cells[ai]
-			cell.Count++
-			switch a.Op {
-			case OpCount:
-			case OpSum, OpAvg:
-				cell.Sum += slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type)
-			case OpMin:
-				if v := slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type); v < cell.Min {
-					cell.Min = v
-				}
-			case OpMax:
-				if v := slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type); v > cell.Max {
-					cell.Max = v
-				}
-			default:
-				v := slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type)
-				if a.Op == OpArgMinRatio || a.Op == OpArgMaxRatio {
-					den := slotVal(ex.col(b, a.Attr2)[i], ex.sch.Attrs[a.Attr2].Type)
-					if den == 0 {
-						continue
-					}
-					v /= den
-				}
-				updateArg(cell, a.Op, ids[i], v)
-			}
-		}
-	}
-	return nil
 }
 
 // dimLookupMap returns (and caches) the key -> column-value map for a
@@ -455,15 +319,4 @@ func (ex *Executor) dimLookupMap(dj DimJoin) (map[uint64]string, error) {
 	}
 	ex.dimCache[dj] = m
 	return m, nil
-}
-
-func slotVal(bits uint64, t schema.Type) float64 {
-	switch t {
-	case schema.TypeFloat64:
-		return math.Float64frombits(bits)
-	case schema.TypeUint64:
-		return float64(bits)
-	default:
-		return float64(int64(bits))
-	}
 }

@@ -13,11 +13,14 @@
 // identical predicates across the batch and Executor.ProcessBucketBatch
 // evaluates each distinct predicate once per bucket into a cached mask slab,
 // assembling every query's filter from the shared masks (see BatchPlan).
+// Grouped queries run columnar too (group.go): the group column is mapped to
+// a dense group-id vector once per bucket per distinct group spec, and one
+// typed vec kernel per aggregate folds it into dense accumulators.
 //
 // Thread confinement: an Executor is confined to a single scan goroutine.
-// It owns mutable scratch state (bitmask buffers, the batch mask slab, the
-// dimension lookup cache) that is reused across buckets without
-// synchronization — create one Executor per goroutine and never share it.
+// It owns mutable scratch state (bitmask buffers, the batch mask and
+// group-id slabs, group tables, the dimension lookup cache) that is reused
+// across buckets without synchronization — create one Executor per goroutine and never share it.
 // Schemas, dimension stores, Queries and compiled BatchPlans are immutable
 // during a scan and safe to share between executors.
 package query

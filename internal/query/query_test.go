@@ -282,7 +282,7 @@ func TestDerivedRatioZeroDenominator(t *testing.T) {
 	}
 	// Force a zero-denominator group via direct partial manipulation.
 	p := NewPartial(q)
-	p.Groups[GroupKey{I: 1}] = newCells(2)
+	p.cells(GroupKey{I: 1})
 	r := p.Finalize(q)
 	if r.Rows[0].Values[2] != 0 {
 		t.Fatalf("zero-denominator ratio = %v, want 0", r.Rows[0].Values[2])

@@ -31,16 +31,6 @@ type Cell struct {
 	ArgSet bool
 }
 
-// newCells returns an initialized accumulator row.
-func newCells(n int) []Cell {
-	cells := make([]Cell, n)
-	for i := range cells {
-		cells[i].Min = math.Inf(1)
-		cells[i].Max = math.Inf(-1)
-	}
-	return cells
-}
-
 // Partial is the mergeable per-partition (or per-node) query result.
 type Partial struct {
 	// QueryID echoes Query.ID.
@@ -52,7 +42,23 @@ type Partial struct {
 	// gen counts Resets, so executor-side caches of Groups rows can detect
 	// that a pooled partial was recycled for a new scan round.
 	gen uint64
+	// slabs are the backing arrays accumulator rows are carved from: rows
+	// fill slabs[cur] from offset used, then move on to the next slab,
+	// appending a bigger one when none is left. Reset rewinds to the first
+	// slab and keeps them all, so a pooled partial that sees the same
+	// groups round after round stops allocating after the first. Every
+	// slab keeps length zero — only its capacity is used — so stale row
+	// contents never take part in a reflect.DeepEqual of two partials, and
+	// slab sizes depend only on how many rows were made, so two partials
+	// with equal groups compare equal however they were filled.
+	slabs [][]Cell
+	cur   int
+	used  int
 }
+
+// maxRetainedCells caps the largest row slab (about 3.5 MB) a partial keeps
+// across Reset.
+const maxRetainedCells = 1 << 16
 
 // NewPartial returns an empty partial for a query.
 func NewPartial(q *Query) *Partial {
@@ -65,13 +71,15 @@ func (p *Partial) Reset(q *Query) {
 	p.QueryID = q.ID
 	p.NumAggs = len(q.Aggs)
 	p.gen++
+	p.cur, p.used = 0, 0
+	if k := len(p.slabs); k > 0 && cap(p.slabs[k-1]) > maxRetainedCells {
+		p.slabs = nil // one huge result must not pin its rows for good
+	}
 	if p.Groups == nil {
 		p.Groups = make(map[GroupKey][]Cell)
 		return
 	}
-	for k := range p.Groups {
-		delete(p.Groups, k)
-	}
+	clear(p.Groups)
 }
 
 // cells returns (creating if needed) the accumulator row for key.
@@ -79,7 +87,22 @@ func (p *Partial) cells(key GroupKey) []Cell {
 	if c, ok := p.Groups[key]; ok {
 		return c
 	}
-	c := newCells(p.NumAggs)
+	n := p.NumAggs
+	for p.cur < len(p.slabs) && p.used+n > cap(p.slabs[p.cur]) {
+		p.cur, p.used = p.cur+1, 0
+	}
+	if p.cur == len(p.slabs) {
+		size := n // a global query's single row wastes nothing
+		if p.cur > 0 {
+			size = max(size, 2*cap(p.slabs[p.cur-1]))
+		}
+		p.slabs = append(p.slabs, make([]Cell, 0, size))
+	}
+	c := p.slabs[p.cur][p.used : p.used+n : p.used+n]
+	p.used += n
+	for i := range c {
+		c[i] = Cell{Min: math.Inf(1), Max: math.Inf(-1)}
+	}
 	p.Groups[key] = c
 	return c
 }
@@ -95,18 +118,7 @@ func mergeCell(dst *Cell, src *Cell, op AggOp) {
 		dst.Max = src.Max
 	}
 	if src.ArgSet {
-		better := !dst.ArgSet
-		if !better {
-			switch op {
-			case OpArgMax, OpArgMaxRatio:
-				better = src.ArgVal > dst.ArgVal
-			case OpArgMin, OpArgMinRatio:
-				better = src.ArgVal < dst.ArgVal
-			}
-		}
-		if better {
-			dst.ArgKey, dst.ArgVal, dst.ArgSet = src.ArgKey, src.ArgVal, true
-		}
+		updateArg(dst, op, src.ArgKey, src.ArgVal)
 	}
 }
 

@@ -142,6 +142,17 @@ func (re *RowEvaluator) dimLookupMap(dj DimJoin) (map[uint64]string, error) {
 	return m, nil
 }
 
+func slotVal(bits uint64, t schema.Type) float64 {
+	switch t {
+	case schema.TypeFloat64:
+		return math.Float64frombits(bits)
+	case schema.TypeUint64:
+		return float64(bits)
+	default:
+		return float64(int64(bits))
+	}
+}
+
 func cmpInt(a int64, op vec.CmpOp, b int64) bool {
 	switch op {
 	case vec.Lt:
