@@ -61,7 +61,7 @@ crash:
 replica-crash:
 	AIM_REPL_KILLS=50 $(GO) test -run TestReplicaFailoverKillCampaign -v -timeout 30m ./internal/crashharness/
 
-## fuzz-smoke: 10s of fuzzing per durability decoder (archive frames, checkpoint files, event codec), per compressed-chunk kernel family and per socket-facing query decoder
+## fuzz-smoke: 10s of fuzzing per durability decoder (archive frames, checkpoint files, event codec), per compressed-chunk kernel family and per socket-facing decoder (query codec, netproto frames and batch bodies)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenSegment -fuzztime 10s ./internal/archive/
 	$(GO) test -run '^$$' -fuzz FuzzReadFile -fuzztime 10s ./internal/checkpoint/
@@ -69,12 +69,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkKernels -fuzztime 10s ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime 10s ./internal/query/
+# The netproto corpora seed 16 KiB bodies (a 256-event batch); capping
+# minimization keeps the 10 s spent mutating rather than shrinking them.
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEventBatch -fuzztime 10s -fuzzminimizetime 1s ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeReplBatch -fuzztime 10s -fuzzminimizetime 1s ./internal/netproto/
 
-## ci: full gate — vet, build, race-detect the whole tree, metrics overhead guard, crash + fuzz smoke
+## ci: full gate — vet, build, race-detect the whole tree, the e2ebench module (which the root ./... does not reach), metrics overhead guard, crash + fuzz smoke
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) vet -C e2ebench ./...
+	$(GO) test -C e2ebench ./...
 	AIM_OBS_GUARD=1 $(GO) test -run TestMetricsOverheadGuard ./internal/query/
 	AIM_INGEST_GUARD=1 $(GO) test -run TestIngestBatchGuard ./internal/bench/
 	AIM_KERNEL_GUARD=1 $(GO) test -run TestKernelGuard ./internal/bench/

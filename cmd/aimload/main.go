@@ -51,7 +51,6 @@ func main() {
 		degraded    = flag.Bool("degraded", false, "tolerate node failures: accept incomplete RTA results")
 
 		queryDeadline = flag.Duration("query-deadline", 0, "per-query deadline stamped on every RTA query; past-deadline queries are shed server-side (0 = none, implies -degraded semantics for shed partials)")
-		spillPolicy   = flag.String("spill-policy", "reject", "full-spill-queue policy: reject (typed overload error), drop-oldest, or block")
 
 		ingestBatch  = flag.Int("ingest-batch", 256, "coalesce outgoing events client-side into wire batches of up to N events (0 or 1 = one frame per event)")
 		ingestLinger = flag.Duration("ingest-linger", time.Millisecond, "max time a partial client-side event batch may wait before it is flushed")
@@ -110,11 +109,7 @@ func main() {
 		conns = append(conns, cli)
 		handles = append(handles, cli)
 	}
-	pol, err := cluster.ParseSpillPolicy(*spillPolicy)
-	if err != nil {
-		log.Fatalf("aimload: %v", err)
-	}
-	cl, err := cluster.NewWithHealth(handles, cluster.HealthConfig{SpillPolicy: pol})
+	cl, err := cluster.New(handles)
 	if err != nil {
 		log.Fatal(err)
 	}

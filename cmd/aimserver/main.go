@@ -123,9 +123,6 @@ func main() {
 		statsEvery = flag.Duration("stats", 10*time.Second, "stats logging interval (0 = off)")
 		debugAddr  = flag.String("debug-addr", "", "observability HTTP listen address for /metrics, /stats, /trace, /debug/pprof (\"\" = off)")
 
-		ingestBatch  = flag.Int("ingest-batch", 256, "coalesce per-event frames server-side into batches of up to N events (0 or 1 = apply per event)")
-		ingestLinger = flag.Duration("ingest-linger", time.Millisecond, "max time a partial server-side ingest batch may wait for more events")
-
 		follow        = flag.String("follow", "", "run as a follower replica: tail this primary aimserver's WAL stream (resumes from the local WAL frontier with -data-dir)")
 		replHeartbeat = flag.Duration("repl-heartbeat", 25*time.Millisecond, "replication stream heartbeat interval served to subscribers")
 
@@ -268,8 +265,6 @@ func main() {
 	}
 	scfg := netproto.ServerConfig{
 		Metrics:       netproto.NewServerMetrics(reg),
-		IngestBatch:   *ingestBatch,
-		IngestLinger:  *ingestLinger,
 		ReplArchive:   arch, // durable servers serve the WAL stream to subscribers
 		ReplHeartbeat: *replHeartbeat,
 	}

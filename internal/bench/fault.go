@@ -183,9 +183,9 @@ func FaultTolerance(p Params) (*Table, error) {
 		processed += n.Stats().EventsProcessed
 	}
 	h := cl.Health(0)
-	tbl.Note("after heal: %d/%d accepted events processed (spilled %d, replayed %d, dropped %d)",
-		processed, totalSent, h.Spilled, h.Replayed, h.Dropped)
-	if processed != uint64(totalSent)-uint64(h.Dropped) {
+	tbl.Note("after heal: %d/%d accepted events processed (spilled %d, replayed %d)",
+		processed, totalSent, h.Spilled, h.Replayed)
+	if processed != uint64(totalSent) {
 		return nil, errors.New("bench: event loss after heal")
 	}
 	return tbl, nil

@@ -30,8 +30,8 @@ func ingestPoint(p Params, sch *schema.Schema, batch int) (evs int, rate float64
 		return 0, 0, 0, err
 	}
 	defer node.Stop()
-	// Server-side coalescing stays off: the sweep isolates the client knob,
-	// so batch=1 really is one frame and one apply per event.
+	// The server applies frames as they arrive, so the client knob is the
+	// only variable: batch=1 is a batch frame of one and one apply per event.
 	srv, err := netproto.Serve("127.0.0.1:0", node, sch)
 	if err != nil {
 		return 0, 0, 0, err
@@ -72,7 +72,7 @@ func ingestPoint(p Params, sch *schema.Schema, batch int) (evs int, rate float64
 
 // IngestBatchSweep regenerates the batched-ingest ablation: single-node
 // event throughput over TCP as the client-side wire batch grows from 1
-// (per-event frames, the seed behaviour) through the default 256 to 1024.
+// (a batch frame of one per event) through the default 256 to 1024.
 // The speedup column is relative to batch=1.
 func IngestBatchSweep(p Params) (*Table, error) {
 	sch, err := schema.NewBuilder().
@@ -102,6 +102,6 @@ func IngestBatchSweep(p Params) (*Table, error) {
 		}
 		tbl.AddRow(batch, evs, fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.2fx", speedup), coalesced)
 	}
-	tbl.Note("batch=1 sends one 73 B frame per event; batch=N coalesces N events into one frame and one caller-grouped apply pass")
+	tbl.Note("batch=1 sends one 81 B frame (a batch of one) per event; batch=N coalesces N events into one frame and one caller-grouped apply pass")
 	return tbl, nil
 }

@@ -61,6 +61,7 @@ func ReplicaFailover(p Params) (*Table, error) {
 	defer srv.Close()
 	cli, err := netproto.DialConfig(srv.Addr(), sch, netproto.ClientConfig{
 		CallTimeout: time.Second, MaxRetries: -1, DisableReconnect: true,
+		EventBatch: 64, EventLinger: time.Millisecond,
 	})
 	if err != nil {
 		return nil, err
@@ -100,7 +101,6 @@ func ReplicaFailover(p Params) (*Table, error) {
 			FailureThreshold: 3, ProbeInterval: 50 * time.Millisecond,
 			RetryQueue: 1 << 16, RetryInterval: 5 * time.Millisecond,
 		},
-		Batch: cluster.BatchConfig{MaxEvents: 64, Linger: time.Millisecond},
 		Replicas: cluster.ReplicaConfig{
 			AutoPromote: true, PromoteAfter: 100 * time.Millisecond,
 			CheckInterval: 5 * time.Millisecond,

@@ -1,235 +1,19 @@
 package cluster
 
 import (
-	"sync"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
 )
 
-// BatchConfig enables client-side event coalescing in the cluster router:
-// instead of one delivery per ProcessEventAsync call, events accumulate in a
-// per-node buffer and go out as one ProcessEventBatch (or N ProcessEventAsync
-// calls against handles without batch support) when the buffer fills or the
-// linger expires. Batching changes when delivery errors are observed — a
-// buffered event's failure surfaces at flush time, where it spills to the
-// node's retry queue exactly like a failed per-event send — but not whether:
-// no event is dropped that the per-event path would have delivered. With
-// health tracking disabled there is no spill queue; undelivered events stay
-// requeued in the coalescing buffer and are retried by later flushes, so the
-// buffer can grow past MaxEvents while the node is down.
-type BatchConfig struct {
-	// MaxEvents is the per-node buffer size that forces a flush. 0 disables
-	// batching (the default, per-event routing); -1 selects
-	// DefaultMaxEvents; 1 is equivalent to 0.
-	MaxEvents int
-	// Linger bounds how long a non-full buffer may hold events (default
-	// 1ms; negative disables timed flushes, leaving only size-triggered and
-	// ordering flushes).
-	Linger time.Duration
-}
-
-// DefaultMaxEvents is the per-node buffer bound selected by MaxEvents: -1.
-const DefaultMaxEvents = 256
-
-// DefaultLinger is the flush interval selected when Linger is zero.
-const DefaultLinger = time.Millisecond
-
-func (cfg BatchConfig) withDefaults() BatchConfig {
-	if cfg.MaxEvents < 0 {
-		cfg.MaxEvents = DefaultMaxEvents
-	} else if cfg.MaxEvents == 1 {
-		cfg.MaxEvents = 0
-	}
-	if cfg.Linger == 0 {
-		cfg.Linger = DefaultLinger
-	} else if cfg.Linger < 0 {
-		cfg.Linger = 0
-	}
-	return cfg
-}
-
-// nodeBatch is the coalescing buffer for one storage server.
-type nodeBatch struct {
-	// sendMu serializes swap-and-deliver for this node: it is taken before
-	// mu and held across the delivery, so batches reach the node in buffer
-	// order. Without it a linger flush holding an older batch could be
-	// descheduled (or block on a TCP send) and land after a newer
-	// size-triggered batch, reordering same-caller events.
-	sendMu sync.Mutex
-	mu     sync.Mutex
-	buf    []event.Event
-}
-
-// take swaps the buffer out under the lock.
-func (b *nodeBatch) take() []event.Event {
-	b.mu.Lock()
-	evs := b.buf
-	b.buf = nil
-	b.mu.Unlock()
-	return evs
-}
-
-// requeueFront puts an undelivered suffix back at the head of the buffer,
-// ahead of anything buffered while the delivery was in flight, so the next
-// flush replays the stream in its original order. evs' backing array is the
-// swapped-out batch, owned exclusively by the failed delivery.
-func (b *nodeBatch) requeueFront(evs []event.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	b.mu.Lock()
-	b.buf = append(evs, b.buf...)
-	b.mu.Unlock()
-}
-
-// bufferEvent appends ev to its node's coalescing buffer, flushing when the
-// buffer reaches the configured bound. Buffered events always succeed from
-// the caller's perspective — failures surface at flush time, where they take
-// the spill path (or, with health tracking disabled, stay requeued in the
-// buffer for the next flush), matching the per-event fire-and-forget
-// contract.
-func (c *Cluster) bufferEvent(idx int, ev event.Event) error {
-	b := c.batches[idx]
-	b.mu.Lock()
-	b.buf = append(b.buf, ev)
-	full := len(b.buf) >= c.bcfg.MaxEvents
-	b.mu.Unlock()
-	if full {
-		_ = c.flushBatch(idx)
-	}
-	return nil
-}
-
-// flushBatch drains node idx's coalescing buffer now. Used by size-triggered
-// flushes, by the linger loop, by synchronous operations that need routing
-// order (a buffered event must land before a Get/Put on the same node
-// observes state), and by Close. sendMu is held across take + deliver so
-// concurrent flushes cannot deliver batches out of buffer order.
-func (c *Cluster) flushBatch(idx int) error {
-	b := c.batches[idx]
-	b.sendMu.Lock()
-	defer b.sendMu.Unlock()
-	return c.deliverBatch(idx, b.take())
-}
-
-// deliverBatch sends one batch to its node through the health machinery:
-// breaker-open or failed deliveries spill the undelivered suffix to the
-// node's retry queue (the delivered prefix is never requeued, so no event is
-// applied twice by this path). With health tracking disabled there is no
-// spill queue: the undelivered suffix goes back to the head of the node's
-// coalescing buffer (buffered events already reported success to their
-// callers and must not be dropped) and the error is returned so synchronous
-// flush triggers can observe it. A spill shortfall (full queue under
-// SpillReject, or spilling disabled) likewise requeues the leftover suffix
-// into the coalescing buffer when one exists and returns a typed error —
-// never a silent drop; without a buffer the error reports the accepted
-// prefix via core.PartialBatchError so the caller can resubmit the rest.
-func (c *Cluster) deliverBatch(idx int, evs []event.Event) error {
-	if len(evs) == 0 {
-		return nil
-	}
-	if c.disabled() {
-		delivered, err := core.ProcessBatch(c.node(idx), evs)
-		if err != nil && c.batches != nil {
-			c.batches[idx].requeueFront(evs[delivered:])
-		}
-		return err
-	}
-	h := c.health[idx]
-	if !h.allow(time.Now()) {
-		return c.spillTail(idx, evs, 0)
-	}
-	delivered, err := core.ProcessBatch(c.node(idx), evs)
-	h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
-	if err != nil {
-		return c.spillTail(idx, evs, delivered)
-	}
-	return nil
-}
-
-// spillTail spills evs[delivered:] and accounts for any shortfall: with a
-// coalescing buffer the unspilled leftover goes back to the buffer head
-// (order-preserving, zero loss) and the typed spill error is returned so
-// flush-time callers observe the rejection; without a buffer the error
-// wraps the total accepted prefix in a core.PartialBatchError.
-func (c *Cluster) spillTail(idx int, evs []event.Event, delivered int) error {
-	spilled, err := c.spillBatch(idx, evs[delivered:])
-	if err == nil {
-		return nil
-	}
-	rest := evs[delivered+spilled:]
-	if c.batches != nil {
-		c.batches[idx].requeueFront(rest)
-		return err
-	}
-	return &core.PartialBatchError{Applied: delivered + spilled, Err: err}
-}
-
-// spillBatch queues undelivered events for background replay, returning how
-// many were accepted. Under SpillDropOldest overflow evicts the oldest
-// queued events (counted in NodeHealth.Dropped) and everything is accepted;
-// under SpillBlock overflow waits for the drainer to make room. Under
-// SpillReject — or with the queue disabled — events that do not fit are NOT
-// accepted: the caller gets a typed error and owns the unaccepted suffix.
-func (c *Cluster) spillBatch(idx int, evs []event.Event) (int, error) {
-	h := c.health[idx]
-	for i, ev := range evs {
-		if h.spill(ev, c.hcfg.RetryQueue, c.hcfg.SpillPolicy) {
-			c.startDrainer()
-			continue
-		}
-		if c.hcfg.RetryQueue < 0 {
-			return i, &NodeDownError{Node: idx, Err: c.lastErr(idx)}
-		}
-		if c.hcfg.SpillPolicy == SpillBlock && c.spillWait(idx, ev) {
-			continue
-		}
-		return i, c.spillRejection(idx)
-	}
-	return len(evs), nil
-}
-
-// startLinger launches the background loop that flushes non-empty buffers
-// every Linger interval, bounding how stale a buffered event can get on a
-// quiet stream.
-func (c *Cluster) startLinger() {
-	if c.bcfg.Linger <= 0 {
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		tick := time.NewTicker(c.bcfg.Linger)
-		defer tick.Stop()
-		for {
-			select {
-			case <-c.quit:
-				return
-			case <-tick.C:
-				for idx := range c.batches {
-					_ = c.flushBatch(idx)
-				}
-			}
-		}
-	}()
-}
-
-// ProcessEventBatch routes a batch of events to their owning servers. With
-// coalescing enabled the events join the per-node buffers; otherwise they
-// are bucketed by owner (preserving per-caller order) and delivered as one
-// batch per touched node.
+// ProcessEventBatch routes a batch of events to their owning servers: the
+// events are bucketed by owner (preserving per-caller order) and delivered
+// as one batch per touched node. The cluster only routes batches; it never
+// forms or holds one.
 func (c *Cluster) ProcessEventBatch(evs []event.Event) error {
 	if len(evs) == 0 {
-		return nil
-	}
-	if c.batches != nil {
-		for _, ev := range evs {
-			if err := c.bufferEvent(c.indexFor(ev.Caller), ev); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	if len(c.nodes) == 1 {
@@ -247,4 +31,68 @@ func (c *Cluster) ProcessEventBatch(evs []event.Event) error {
 		}
 	}
 	return firstErr
+}
+
+// deliverBatch sends one batch to its node through the health machinery:
+// breaker-open or failed deliveries spill the undelivered suffix to the
+// node's retry queue (the delivered prefix is never requeued, so no event is
+// applied twice by this path). With health tracking disabled there is no
+// spill queue: the caller keeps the undelivered suffix.
+func (c *Cluster) deliverBatch(idx int, evs []event.Event) error {
+	if len(evs) == 0 {
+		return nil
+	}
+	if c.disabled() {
+		delivered, err := core.ProcessBatch(c.node(idx), evs)
+		return partialError(delivered, err)
+	}
+	h := c.health[idx]
+	if !h.allow(time.Now()) {
+		return c.spillTail(idx, evs, 0, nil)
+	}
+	delivered, err := core.ProcessBatch(c.node(idx), evs)
+	h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
+	if err != nil {
+		return c.spillTail(idx, evs, delivered, err)
+	}
+	return nil
+}
+
+// spillTail queues evs[delivered:] for background replay — the one place
+// spill admission is decided, for a routed batch's undelivered suffix and
+// for a single event alike. Events that do not fit the bounded queue (or
+// any event, with the queue disabled) are NOT accepted: the caller keeps
+// them and gets a typed error — an overload rejection with a retry-after
+// hint for a full queue, a NodeDownError wrapping cause (or the node's last
+// failure) for a disabled one.
+func (c *Cluster) spillTail(idx int, evs []event.Event, delivered int, cause error) error {
+	spilled := c.health[idx].spill(evs[delivered:], c.hcfg.RetryQueue)
+	if spilled > 0 {
+		c.startDrainer()
+	}
+	accepted := delivered + spilled
+	if accepted == len(evs) {
+		return nil
+	}
+	var err error
+	if c.hcfg.RetryQueue < 0 {
+		if cause == nil {
+			cause = c.lastErr(idx)
+		}
+		err = &NodeDownError{Node: idx, Err: cause}
+	} else {
+		err = fmt.Errorf("cluster: node %d: %w", idx,
+			&core.OverloadedError{RetryAfter: c.hcfg.SpillRetryAfter, Reason: "spill-queue"})
+	}
+	return partialError(accepted, err)
+}
+
+// partialError names the prefix of a failed batch the cluster took
+// ownership of (delivered or spilled), so the caller resubmits only the
+// rest. A bare error means nothing was accepted.
+func partialError(accepted int, err error) error {
+	if err == nil || accepted == 0 {
+		return err
+	}
+	return &core.PartialBatchError{Applied: accepted, Err: err}
 }

@@ -1,43 +1,15 @@
 package cluster
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
 )
-
-// newLocalOpts boots n in-process nodes under a cluster with explicit
-// options, for exercising the batched routing paths.
-func newLocalOpts(t *testing.T, n int, opts Options) (*Cluster, []*core.StorageNode) {
-	t.Helper()
-	sch := clusterSchema(t)
-	nodes := make([]*core.StorageNode, n)
-	handles := make([]core.Storage, n)
-	for i := range nodes {
-		node, err := core.NewNode(core.Config{
-			Schema: sch, Partitions: 2, BucketSize: 32,
-			IdleMergePause: 200 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		handles[i] = node
-	}
-	c, err := NewWithOptions(handles, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		c.Close()
-		for _, node := range nodes {
-			node.Stop()
-		}
-	})
-	return c, nodes
-}
 
 func sumProcessed(nodes []*core.StorageNode) uint64 {
 	var total uint64
@@ -47,25 +19,49 @@ func sumProcessed(nodes []*core.StorageNode) uint64 {
 	return total
 }
 
-func waitSumProcessed(t *testing.T, nodes []*core.StorageNode, want uint64) {
+func mkEvents(from, n int) []event.Event {
+	evs := make([]event.Event, n)
+	for i := range evs {
+		evs[i] = event.Event{Caller: uint64(from+i) + 1, Timestamp: int64(from + i + 1), Duration: 5, Cost: 1}
+	}
+	return evs
+}
+
+// routeBatch routes a copy of evs and reports how many leading events the
+// cluster took ownership of (delivered or spilled), as core.ProcessBatch
+// does for a storage handle.
+func routeBatch(c *Cluster, evs []event.Event) (int, error) {
+	err := c.ProcessEventBatch(append([]event.Event(nil), evs...))
+	var pe *core.PartialBatchError
+	switch {
+	case err == nil:
+		return len(evs), nil
+	case errors.As(err, &pe):
+		return pe.Applied, err
+	}
+	return 0, err
+}
+
+// wantDelivered checks the stub saw exactly want, in order, once each.
+func wantDelivered(t *testing.T, fs *flakyStorage, want []event.Event) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := sumProcessed(nodes); got == want {
-			return
+	fs.mu.Lock()
+	got := append([]event.Event(nil), fs.delivered...)
+	fs.mu.Unlock()
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d: got %+v, want %+v (order or duplication broken)", i, got[i], want[i])
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("nodes processed %d events, want %d", sumProcessed(nodes), want)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestClusterBatchingDeliversAll routes a stream through per-node
-// coalescing buffers (size-triggered flushes plus the FlushEvents drain)
-// and checks nothing is lost or duplicated across nodes.
-func TestClusterBatchingDeliversAll(t *testing.T) {
-	c, nodes := newLocalOpts(t, 3, Options{Batch: BatchConfig{MaxEvents: 8, Linger: -1}})
+// TestProcessEventBatchRoutesAll routes single events and pre-formed batches
+// across three nodes and checks nothing is lost or duplicated.
+func TestProcessEventBatchRoutesAll(t *testing.T) {
+	c, nodes := newLocal(t, 3)
 	const n = 500
 	for i := 0; i < n; i++ {
 		ev := event.Event{Caller: uint64(i%97) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
@@ -73,7 +69,6 @@ func TestClusterBatchingDeliversAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Pre-batched ingress joins the same buffers.
 	batch := make([]event.Event, 100)
 	for i := range batch {
 		batch[i] = event.Event{Caller: uint64(i%97) + 1, Timestamp: int64(1000 + i), Duration: 5, Cost: 1}
@@ -87,39 +82,6 @@ func TestClusterBatchingDeliversAll(t *testing.T) {
 	if got := sumProcessed(nodes); got != n+100 {
 		t.Fatalf("nodes processed %d events, want %d", got, n+100)
 	}
-}
-
-// TestClusterBatchLingerFlush checks a quiet stream does not strand
-// buffered events: the linger loop ships size-incomplete buffers.
-func TestClusterBatchLingerFlush(t *testing.T) {
-	c, nodes := newLocalOpts(t, 2, Options{Batch: BatchConfig{MaxEvents: 1024, Linger: 2 * time.Millisecond}})
-	for i := 0; i < 10; i++ {
-		ev := event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No flush call: only the linger loop can deliver these.
-	waitSumProcessed(t, nodes, 10)
-}
-
-// TestClusterGetFlushesBuffer checks routing order: a Get on an entity
-// flushes its node's coalescing buffer first, so the read cannot observe a
-// state missing events this handle already accepted.
-func TestClusterGetFlushesBuffer(t *testing.T) {
-	c, nodes := newLocalOpts(t, 2, Options{Batch: BatchConfig{MaxEvents: 1024, Linger: -1}})
-	for i := 0; i < 5; i++ {
-		ev := event.Event{Caller: 7, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, _, err := c.Get(7); err != nil {
-		t.Fatal(err)
-	}
-	// The Get was the only possible flush trigger (huge buffer, no linger);
-	// the events must now be at the owning node.
-	waitSumProcessed(t, nodes, 5)
 }
 
 // haltingStorage delivers events until its budget runs out, then fails —
@@ -140,41 +102,34 @@ func (h *haltingStorage) ProcessEventAsync(ev event.Event) error {
 	return h.flakyStorage.ProcessEventAsync(ev)
 }
 
-// TestClusterBatchSpillAndReplay kills delivery mid-flush: the batch's
+// TestClusterBatchSpillAndReplay kills delivery mid-batch: the batch's
 // delivered prefix must stay delivered, the undelivered suffix must spill
 // and replay after recovery, and the node must see the original stream
 // order with no duplicates.
 func TestClusterBatchSpillAndReplay(t *testing.T) {
-	// Budget 2: a 4-event flush delivers 2, then fails. haltingStorage has no
+	// Budget 2: a 4-event batch delivers 2, then fails. haltingStorage has no
 	// ProcessEventBatch, so delivery takes core.ProcessBatch's per-event
 	// fallback — the path that reports partial progress.
 	// RetryInterval is huge so the background drainer never races the
 	// assertions below; replay goes through FlushEvents' synchronous path.
 	hs := &haltingStorage{budget: 2}
-	c, err := NewWithOptions([]core.Storage{hs}, Options{
-		Health: HealthConfig{
-			FailureThreshold: 3, ProbeInterval: 5 * time.Millisecond,
-			RetryQueue: 100, RetryInterval: time.Minute,
-		},
-		Batch: BatchConfig{MaxEvents: 4, Linger: -1},
+	c, err := NewWithHealth([]core.Storage{hs}, HealthConfig{
+		FailureThreshold: 3, ProbeInterval: 5 * time.Millisecond,
+		RetryQueue: 100, RetryInterval: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 
-	evs := make([]event.Event, 4)
-	for i := range evs {
-		evs[i] = event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(evs[i]); err != nil {
-			t.Fatalf("event %d: buffered send surfaced %v", i, err)
-		}
+	evs := mkEvents(0, 4)
+	if _, err := routeBatch(c, evs); err != nil {
+		t.Fatalf("routed batch surfaced %v instead of spilling its suffix", err)
 	}
 	if got := hs.deliveredCount(); got != 2 {
 		t.Fatalf("delivered %d events before the fault, want 2", got)
 	}
-	h := c.Health(0)
-	if h.QueuedEvents != 2 {
+	if h := c.Health(0); h.QueuedEvents != 2 {
 		t.Fatalf("spill queue holds %d events, want 2: %+v", h.QueuedEvents, h)
 	}
 
@@ -183,163 +138,58 @@ func TestClusterBatchSpillAndReplay(t *testing.T) {
 	if err := c.FlushEvents(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	hs.mu.Lock()
-	got := append([]event.Event(nil), hs.delivered...)
-	hs.mu.Unlock()
-	if len(got) != len(evs) {
-		t.Fatalf("delivered %d events, want %d", len(got), len(evs))
-	}
-	for i := range got {
-		if got[i] != evs[i] {
-			t.Fatalf("delivery %d: got %+v, want %+v (order or duplication broken)", i, got[i], evs[i])
-		}
-	}
-	h = c.Health(0)
-	if h.QueuedEvents != 0 || h.Replayed != 2 || h.Dropped != 0 {
-		t.Fatalf("health after replay = %+v, want queued 0, replayed 2, dropped 0", h)
+	wantDelivered(t, &hs.flakyStorage, evs)
+	if h := c.Health(0); h.QueuedEvents != 0 || h.Replayed != 2 || h.Rejected != 0 {
+		t.Fatalf("health after replay = %+v, want queued 0, replayed 2, rejected 0", h)
 	}
 }
 
-// slowBatchStorage records whole-batch deliveries, stalling size-incomplete
-// batches (the ones the linger loop ships) to widen the window between a
-// batch being swapped out of its buffer and it reaching the node — the
-// window in which an unserialized linger flush would be overtaken by the
-// producer's next size-triggered flush.
-type slowBatchStorage struct {
-	flakyStorage
-	full int // batches below this size sleep before recording
-}
-
-func (s *slowBatchStorage) ProcessEventBatch(evs []event.Event) error {
-	if len(evs) < s.full {
-		time.Sleep(3 * time.Millisecond)
-	}
-	s.mu.Lock()
-	s.delivered = append(s.delivered, evs...)
-	s.mu.Unlock()
-	return nil
-}
-
-// TestClusterBatchDeliveryOrder races the linger loop against size-triggered
-// flushes on a node with erratic delivery latency: batches must reach the
-// node in buffer order, so same-caller events are never applied out of
-// order (the ordering half of the batched-vs-per-event equivalence
-// contract).
-func TestClusterBatchDeliveryOrder(t *testing.T) {
-	ss := &slowBatchStorage{full: 4}
-	c, err := NewWithOptions([]core.Storage{ss}, Options{
-		Batch: BatchConfig{MaxEvents: 4, Linger: 500 * time.Microsecond},
-	})
+// TestBatchDisabledHealthReturnsSuffix checks that with health tracking
+// disabled (no spill queue) a batch that dies midway is not dropped: the
+// error names the delivered prefix, the caller keeps the suffix, and
+// resubmitting it after recovery completes the stream in order, without
+// duplicates.
+func TestBatchDisabledHealthReturnsSuffix(t *testing.T) {
+	hs := &haltingStorage{budget: 2}
+	c, err := NewWithHealth([]core.Storage{hs}, HealthConfig{FailureThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 
-	const n = 200
-	for i := 0; i < n; i++ {
-		ev := event.Event{Caller: uint64(i%3) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-		if i%5 == 4 {
-			// Pause with a partial buffer so the linger loop regularly grabs
-			// a batch (which then stalls in delivery) while the producer's
-			// next size-triggered flush races it.
-			time.Sleep(2 * time.Millisecond)
-		}
+	evs := mkEvents(0, 6)
+	delivered, err := routeBatch(c, evs)
+	if err == nil || delivered != 2 {
+		t.Fatalf("batch against a dying node: delivered %d, err %v; want 2 and an error", delivered, err)
 	}
-	if err := c.FlushEvents(); err != nil {
-		t.Fatal(err)
+	hs.budget = -1
+	if _, err := routeBatch(c, evs[delivered:]); err != nil {
+		t.Fatalf("resubmitting the suffix after recovery: %v", err)
 	}
-	ss.mu.Lock()
-	got := append([]event.Event(nil), ss.delivered...)
-	ss.mu.Unlock()
-	if len(got) != n {
-		t.Fatalf("delivered %d events, want %d", len(got), n)
-	}
-	last := make(map[uint64]int64)
-	for i, ev := range got {
-		if ev.Timestamp <= last[ev.Caller] {
-			t.Fatalf("delivery %d: caller %d timestamp %d arrived after %d — batches reordered",
-				i, ev.Caller, ev.Timestamp, last[ev.Caller])
-		}
-		last[ev.Caller] = ev.Timestamp
-	}
+	wantDelivered(t, &hs.flakyStorage, evs)
 }
 
-// TestClusterBatchDisabledHealthRetains checks that with health tracking
-// disabled (no spill queue) a failed flush does not drop buffered events:
-// the undelivered suffix stays requeued at the buffer head and a flush after
-// recovery delivers the whole stream in order, without duplicates.
-func TestClusterBatchDisabledHealthRetains(t *testing.T) {
-	fs := &flakyStorage{}
-	c, err := NewWithOptions([]core.Storage{fs}, Options{
-		Health: HealthConfig{FailureThreshold: -1},
-		Batch:  BatchConfig{MaxEvents: 2, Linger: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	fs.down.Store(true)
-
-	evs := make([]event.Event, 6)
-	for i := range evs {
-		evs[i] = event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(evs[i]); err != nil {
-			t.Fatalf("event %d: buffered send surfaced %v", i, err)
-		}
-	}
-	if got := fs.deliveredCount(); got != 0 {
-		t.Fatalf("%d events delivered to a down node", got)
-	}
-
-	fs.down.Store(false)
-	if err := c.FlushEvents(); err != nil {
-		t.Fatalf("flush after recovery: %v", err)
-	}
-	fs.mu.Lock()
-	got := append([]event.Event(nil), fs.delivered...)
-	fs.mu.Unlock()
-	if len(got) != len(evs) {
-		t.Fatalf("delivered %d events, want %d (events dropped without a spill queue)", len(got), len(evs))
-	}
-	for i := range got {
-		if got[i] != evs[i] {
-			t.Fatalf("delivery %d: got %+v, want %+v (order or duplication broken)", i, got[i], evs[i])
-		}
-	}
-}
-
-// TestClusterBatchBreakerOpenSpills checks a flush against an open breaker
-// does not even touch the node: the whole batch spills and replays once the
-// node recovers.
+// TestClusterBatchBreakerOpenSpills checks a batch routed against an open
+// breaker does not even touch the node: the whole batch spills and replays
+// once the node recovers.
 func TestClusterBatchBreakerOpenSpills(t *testing.T) {
-	fs := &flakyStorage{}
-	c, err := NewWithOptions([]core.Storage{fs}, Options{
-		Health: HealthConfig{
-			FailureThreshold: 2, ProbeInterval: time.Minute,
-			RetryQueue: 100, RetryInterval: time.Minute,
-		},
-		Batch: BatchConfig{MaxEvents: 2, Linger: -1},
+	c, fs := flakyCluster(t, HealthConfig{
+		FailureThreshold: 2, ProbeInterval: time.Minute,
+		RetryQueue: 100, RetryInterval: time.Minute,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
 	fs.down.Store(true)
 
-	// Two full flushes fail and open the breaker; the third flush spills
-	// without a delivery attempt, so delivered stays 0 for the whole outage.
-	for i := 0; i < 6; i++ {
-		ev := event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
+	// Two batches fail and open the breaker; the third spills without a
+	// delivery attempt, so delivered stays 0 for the whole outage.
+	evs := mkEvents(0, 6)
+	for i := 0; i < len(evs); i += 2 {
+		if _, err := routeBatch(c, evs[i:i+2]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h := c.Health(0)
 	if h.State != BreakerOpen || h.QueuedEvents != 6 || fs.deliveredCount() != 0 {
-		t.Fatalf("health after failed flushes = %+v (delivered %d), want open breaker, 6 queued, 0 delivered",
+		t.Fatalf("health after failed batches = %+v (delivered %d), want open breaker, 6 queued, 0 delivered",
 			h, fs.deliveredCount())
 	}
 
@@ -347,62 +197,127 @@ func TestClusterBatchBreakerOpenSpills(t *testing.T) {
 	if err := c.FlushEvents(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if got := fs.deliveredCount(); got != 6 {
-		t.Fatalf("replayed %d events, want 6 (health %+v)", got, c.Health(0))
-	}
-	h = c.Health(0)
-	if h.QueuedEvents != 0 || h.Replayed != 6 {
+	wantDelivered(t, fs, evs)
+	if h = c.Health(0); h.QueuedEvents != 0 || h.Replayed != 6 {
 		t.Fatalf("health after replay = %+v, want queued 0, replayed 6", h)
 	}
 }
 
 // TestBatchSpillOverflowDoesNotDropEvents is the regression test for the
-// silent-loss bug in the coalescing path: when a flush-time spill overflows
-// the bounded retry queue under the default reject policy, the leftover
-// suffix used to be counted as dropped and discarded. It must instead stay
-// in the coalescing buffer and eventually reach the node.
+// silent-loss bug in the batch spill path: when a routed batch's undelivered
+// suffix overflows the bounded retry queue, the part that does not fit must
+// be refused back to the caller — typed, with the accepted prefix length —
+// never discarded, and must reach the node once the caller resubmits it.
 func TestBatchSpillOverflowDoesNotDropEvents(t *testing.T) {
-	fs := &flakyStorage{}
-	c, err := NewWithOptions([]core.Storage{fs}, Options{
-		Health: HealthConfig{
-			FailureThreshold: 1, ProbeInterval: 2 * time.Millisecond,
-			RetryQueue: 2, RetryInterval: time.Hour,
-			SpillRetryAfter: time.Millisecond,
-		},
-		Batch: BatchConfig{MaxEvents: 4, Linger: -1},
+	c, fs := flakyCluster(t, HealthConfig{
+		FailureThreshold: 1, ProbeInterval: time.Hour,
+		RetryQueue: 2, RetryInterval: time.Hour,
+		SpillRetryAfter: time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
 	fs.down.Store(true)
-	const events = 10
-	for i := 0; i < events; i++ {
-		if err := c.ProcessEventAsync(event.Event{Caller: uint64(i + 1)}); err != nil {
-			t.Fatalf("event %d: buffered ingest must accept, got %v", i, err)
+
+	evs := mkEvents(0, 10)
+	var retained []event.Event // what the cluster refused: still the caller's
+	for i := 0; i < len(evs); i += 5 {
+		batch := evs[i : i+5]
+		accepted, err := routeBatch(c, batch)
+		if err != nil {
+			if !errors.Is(err, core.ErrOverloaded) {
+				t.Fatalf("overflow surfaced untyped: %v", err)
+			}
+			if retry, ok := core.RetryAfterHint(err); !ok || retry <= 0 {
+				t.Fatalf("overflow rejection carries no retry-after hint: %v", err)
+			}
 		}
+		retained = append(retained, batch[accepted:]...)
 	}
 	h := c.Health(0)
-	if h.Dropped != 0 {
-		t.Fatalf("reject policy silently dropped %d events: %+v", h.Dropped, h)
-	}
-	// Every offered event is still owned somewhere: delivered to the node,
-	// parked in the spill queue, or retained in the coalescing buffer.
-	c.batches[0].mu.Lock()
-	buffered := len(c.batches[0].buf)
-	c.batches[0].mu.Unlock()
-	if got := fs.deliveredCount() + h.QueuedEvents + buffered; got != events {
-		t.Fatalf("accounted for %d/%d events (delivered=%d queued=%d buffered=%d)",
-			got, events, fs.deliveredCount(), h.QueuedEvents, buffered)
+	// Every offered event is still owned somewhere: parked in the spill
+	// queue or refused back to the caller.
+	if h.QueuedEvents != 2 || len(retained) != 8 || int(h.Rejected) != len(retained) {
+		t.Fatalf("accounted for %d queued + %d retained of %d events (health %+v)",
+			h.QueuedEvents, len(retained), len(evs), h)
 	}
 
-	// Recovery: one flush lands everything, in spite of the full queue.
+	// Recovery: the flush lands the queue, the caller resubmits the rest.
 	fs.down.Store(false)
 	if err := c.FlushEvents(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if got := fs.deliveredCount(); got != events {
-		t.Fatalf("delivered %d/%d events after recovery", got, events)
+	if err := c.ProcessEventBatch(retained); err != nil {
+		t.Fatalf("resubmitting refused events after recovery: %v", err)
 	}
+	wantDelivered(t, fs, evs)
+}
+
+// gatedStorage accepts whole batches; its first batch delivery blocks until
+// the gate opens — a replay batch caught mid-flight (a redial backoff, a
+// slow link) between leaving the spill queue and reaching the node.
+type gatedStorage struct {
+	flakyStorage
+	first   atomic.Bool   // set by the delivery that takes the gate
+	entered chan struct{} // closed when the first batch delivery starts
+	gate    chan struct{} // the first batch delivery returns once this closes
+}
+
+func (g *gatedStorage) ProcessEventBatch(evs []event.Event) error {
+	if g.fail() {
+		return errInjected
+	}
+	if g.first.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.gate
+	}
+	g.mu.Lock()
+	g.delivered = append(g.delivered, evs...)
+	g.mu.Unlock()
+	return nil
+}
+
+// TestFlushWaitsForInFlightDrain is the regression test for the event loss
+// TestChaosFlakyNodeFullWorkload showed about once in 15 runs ("processed
+// 1236, sent 1300"): the background drainer popped a batch off the spill
+// queue and was still delivering it when FlushEvents found the queue empty
+// (or replayed the later batches past it) and reported every event landed.
+// A flush must wait for the in-flight batch, and replay must stay in stream
+// order.
+func TestFlushWaitsForInFlightDrain(t *testing.T) {
+	gs := &gatedStorage{entered: make(chan struct{}), gate: make(chan struct{})}
+	c, err := NewWithHealth([]core.Storage{gs}, HealthConfig{
+		FailureThreshold: 1, ProbeInterval: time.Millisecond,
+		RetryQueue: 1000, RetryInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	openGate := sync.OnceFunc(func() { close(gs.gate) })
+	t.Cleanup(openGate) // before Close, which joins the gated drainer
+
+	gs.down.Store(true)
+	evs := mkEvents(0, 3*drainBatch)
+	for _, ev := range evs {
+		if err := c.ProcessEventAsync(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs.down.Store(false)
+	select {
+	case <-gs.entered: // the drainer holds the first batch, mid-delivery
+	case <-time.After(5 * time.Second):
+		t.Fatal("drainer never attempted a replay")
+	}
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.FlushEvents() }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("FlushEvents returned (%v) while a replay batch was still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	openGate()
+	if err := <-flushed; err != nil {
+		t.Fatalf("flush after the in-flight batch landed: %v", err)
+	}
+	wantDelivered(t, &gs.flakyStorage, evs)
 }

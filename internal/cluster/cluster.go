@@ -37,9 +37,6 @@ type Cluster struct {
 	hcfg   HealthConfig
 	health []*nodeHealth
 
-	bcfg    BatchConfig
-	batches []*nodeBatch // nil unless batching is enabled
-
 	// Follower-replica state (see replica.go). repMu guards the follower
 	// lists and the per-shard promotion flag; the scan-pick and promotion
 	// paths take it briefly and never across deliveries.
@@ -61,10 +58,9 @@ type Cluster struct {
 }
 
 // Options bundles the cluster's optional tuning knobs. Zero values select
-// the defaults (health tracking on, batching off).
+// the defaults (health tracking on, no followers).
 type Options struct {
 	Health   HealthConfig
-	Batch    BatchConfig
 	Replicas ReplicaConfig
 }
 
@@ -79,7 +75,7 @@ func NewWithHealth(nodes []core.Storage, hcfg HealthConfig) (*Cluster, error) {
 	return NewWithOptions(nodes, Options{Health: hcfg})
 }
 
-// NewWithOptions builds a cluster with explicit health and batching
+// NewWithOptions builds a cluster with explicit health and replica
 // configurations.
 func NewWithOptions(nodes []core.Storage, opts Options) (*Cluster, error) {
 	if len(nodes) == 0 {
@@ -89,7 +85,6 @@ func NewWithOptions(nodes []core.Storage, opts Options) (*Cluster, error) {
 		nodes:     make([]atomic.Pointer[core.Storage], len(nodes)),
 		hcfg:      opts.Health.withDefaults(),
 		health:    make([]*nodeHealth, len(nodes)),
-		bcfg:      opts.Batch.withDefaults(),
 		rcfg:      opts.Replicas.withDefaults(),
 		followers: make([][]*shardFollower, len(nodes)),
 		promoting: make([]bool, len(nodes)),
@@ -104,13 +99,6 @@ func NewWithOptions(nodes []core.Storage, opts Options) (*Cluster, error) {
 		n := nodes[i]
 		c.nodes[i].Store(&n)
 		c.health[i] = &nodeHealth{}
-	}
-	if c.bcfg.MaxEvents > 1 {
-		c.batches = make([]*nodeBatch, len(nodes))
-		for i := range c.batches {
-			c.batches[i] = &nodeBatch{}
-		}
-		c.startLinger()
 	}
 	return c, nil
 }
@@ -129,29 +117,6 @@ func (c *Cluster) ReplaceNode(idx int, n core.Storage) error {
 	}
 	if n == nil {
 		return errors.New("cluster: ReplaceNode needs a handle")
-	}
-	if c.batches != nil {
-		// The in-flight coalescing buffer holds events accepted for the OLD
-		// handle but not yet delivered. Move them to the spill queue's tail
-		// (they are newer than anything spilled during the outage, so
-		// spill-then-buffer preserves stream order) before the new handle
-		// goes live — otherwise a racing linger flush could deliver them to
-		// the new node ahead of the older spilled events. sendMu is held so
-		// no delivery of this buffer is in flight while we take it.
-		b := c.batches[idx]
-		b.sendMu.Lock()
-		if evs := b.take(); len(evs) > 0 {
-			if c.disabled() {
-				// No spill queue to merge into; keep them buffered for the
-				// next flush against the new handle.
-				b.requeueFront(evs)
-			} else if n, err := c.spillBatch(idx, evs); err != nil {
-				// Spill queue full (or disabled): keep the leftover suffix
-				// buffered rather than losing it.
-				b.requeueFront(evs[n:])
-			}
-		}
-		b.sendMu.Unlock()
 	}
 	c.nodes[idx].Store(&n)
 	if !c.disabled() {
@@ -194,16 +159,10 @@ func NewLocal(n int, cfg core.Config) (*Cluster, []*core.StorageNode, error) {
 	return c, nodes, nil
 }
 
-// Close flushes any coalescing buffers (best effort) and stops the
-// background goroutines. It does not close the storage handles, which the
-// caller owns. Idempotent.
+// Close stops the background goroutines. It does not close the storage
+// handles, which the caller owns. Idempotent.
 func (c *Cluster) Close() {
-	c.closeOnce.Do(func() {
-		for idx := range c.batches {
-			_ = c.flushBatch(idx)
-		}
-		close(c.quit)
-	})
+	c.closeOnce.Do(func() { close(c.quit) })
 	c.wg.Wait()
 }
 
@@ -243,78 +202,25 @@ func (c *Cluster) disabled() bool { return c.hcfg.FailureThreshold < 0 }
 // ProcessEventAsync routes an event to its owning server. If the server's
 // breaker is open (or delivery fails), the event spills to the node's
 // bounded retry queue and nil is returned — the ESP pipeline keeps moving.
-// Only when spilling is impossible does it fail fast with a NodeDownError.
-// With batching enabled (Options.Batch) the event joins the owning node's
-// coalescing buffer instead and delivery errors surface at flush time, where
-// they take the same spill path.
+// Only when spilling is impossible does it fail: a NodeDownError with the
+// queue disabled, a typed overload rejection with the queue full. The
+// cluster forms no batches: a handle that coalesces (netproto.Client with
+// EventBatch) does so behind this call.
 func (c *Cluster) ProcessEventAsync(ev event.Event) error {
 	idx := c.indexFor(ev.Caller)
-	if c.batches != nil {
-		return c.bufferEvent(idx, ev)
-	}
 	if c.disabled() {
 		return c.node(idx).ProcessEventAsync(ev)
 	}
 	h := c.health[idx]
 	if !h.allow(time.Now()) {
-		return c.spillOrFail(idx, ev, nil)
+		return c.spillTail(idx, []event.Event{ev}, 0, nil)
 	}
 	err := c.node(idx).ProcessEventAsync(ev)
 	h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
 	if err == nil {
 		return nil
 	}
-	return c.spillOrFail(idx, ev, err)
-}
-
-func (c *Cluster) spillOrFail(idx int, ev event.Event, cause error) error {
-	h := c.health[idx]
-	if h.spill(ev, c.hcfg.RetryQueue, c.hcfg.SpillPolicy) {
-		c.startDrainer()
-		return nil
-	}
-	if c.hcfg.RetryQueue < 0 {
-		// Spilling disabled by configuration: fail fast with the node's
-		// identity, as always.
-		if cause == nil {
-			cause = c.lastErr(idx)
-		}
-		return &NodeDownError{Node: idx, Err: cause}
-	}
-	if c.hcfg.SpillPolicy == SpillBlock && c.spillWait(idx, ev) {
-		return nil
-	}
-	// Full queue under SpillReject (or shutdown during SpillBlock): the
-	// caller keeps the event and gets a typed, retryable rejection.
-	return c.spillRejection(idx)
-}
-
-// spillRejection builds the typed overload error for a full spill queue.
-func (c *Cluster) spillRejection(idx int) error {
-	return fmt.Errorf("cluster: node %d: %w", idx,
-		&core.OverloadedError{RetryAfter: c.hcfg.SpillRetryAfter, Reason: "spill-queue"})
-}
-
-// spillWait blocks until ev fits node idx's spill queue (SpillBlock policy),
-// reporting false if the cluster shuts down first.
-func (c *Cluster) spillWait(idx int, ev event.Event) bool {
-	h := c.health[idx]
-	tick := c.hcfg.RetryInterval / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	for {
-		if h.spill(ev, c.hcfg.RetryQueue, c.hcfg.SpillPolicy) {
-			c.startDrainer()
-			return true
-		}
-		c.startDrainer() // ensure someone is draining the queue we wait on
-		select {
-		case <-c.quit:
-			return false
-		case <-time.After(tick):
-		}
-	}
+	return c.spillTail(idx, []event.Event{ev}, 0, err)
 }
 
 // startDrainer lazily launches the background goroutine that replays
@@ -345,11 +251,33 @@ func (c *Cluster) startDrainer() {
 // queue in one call while still amortizing per-delivery costs ~64x.
 const drainBatch = 64
 
-// drainNode replays queued events for one node until the queue empties or a
-// delivery fails (undelivered events go back to the front of the queue).
-// Replay is batched: each round pops up to drainBatch events and delivers
-// them as one ProcessEventBatch; on a partial failure only the undelivered
-// suffix is requeued, so no event is applied twice.
+// replayOne pops up to drainBatch queued events of one node and delivers
+// them as one ProcessEventBatch; on a failure only the undelivered suffix
+// goes back to the front of the queue, so no event is applied twice. It
+// returns how many events it popped. replayMu is held from pop to requeue:
+// the background drainer and FlushEvents therefore replay a node's queue
+// strictly in stream order, and a flush cannot find the queue empty (and
+// report every event landed) while a batch the drainer popped is still on
+// its way to the node.
+func (c *Cluster) replayOne(idx int) (int, error) {
+	h := c.health[idx]
+	h.replayMu.Lock()
+	defer h.replayMu.Unlock()
+	evs := h.popBatch(drainBatch)
+	if len(evs) == 0 {
+		return 0, nil
+	}
+	delivered, err := core.ProcessBatch(c.node(idx), evs)
+	h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
+	h.addReplayed(delivered)
+	if err != nil {
+		h.requeueFront(evs[delivered:])
+	}
+	return len(evs), err
+}
+
+// drainNode replays queued events for one node until the queue empties, a
+// delivery fails or the breaker refuses traffic.
 func (c *Cluster) drainNode(idx int) {
 	h := c.health[idx]
 	for {
@@ -364,17 +292,13 @@ func (c *Cluster) drainNode(idx int) {
 		if !h.allow(time.Now()) {
 			return
 		}
-		evs := h.popBatch(drainBatch)
-		if len(evs) == 0 {
-			// Raced with another drain; give the probe token back.
+		n, err := c.replayOne(idx)
+		if n == 0 {
+			// A flush emptied the queue meanwhile; give the probe token back.
 			h.releaseProbe()
 			return
 		}
-		delivered, err := core.ProcessBatch(c.node(idx), evs)
-		h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
-		h.addReplayed(delivered)
 		if err != nil {
-			h.requeueFront(evs[delivered:])
 			return
 		}
 	}
@@ -385,11 +309,6 @@ func (c *Cluster) drainNode(idx int) {
 // with an open breaker they fail fast instead of hammering a dead node.
 func (c *Cluster) ProcessEvent(ev event.Event) (int, error) {
 	idx := c.indexFor(ev.Caller)
-	if c.batches != nil {
-		// Earlier same-caller events may still be buffered; they must land
-		// first to keep the single-stream application order.
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).ProcessEvent(ev)
 	}
@@ -439,13 +358,6 @@ func (c *Cluster) retryOverloaded(deadline time.Time, op func() error) error {
 func (c *Cluster) FlushEvents() error {
 	var firstErr error
 	deadline := time.Now().Add(flushOverloadBudget)
-	for idx := range c.batches {
-		idx := idx
-		err := c.retryOverloaded(deadline, func() error { return c.flushBatch(idx) })
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	for idx := range c.nodes {
 		idx := idx
 		err := c.retryOverloaded(deadline, func() error { return c.flushSpilled(idx) })
@@ -470,33 +382,23 @@ func (c *Cluster) FlushEvents() error {
 // shedding) so FlushEvents can pace its retries off the retry-after hint;
 // anything else means the node is down.
 func (c *Cluster) flushSpilled(idx int) error {
-	h := c.health[idx]
 	for {
-		evs := h.popBatch(drainBatch)
-		if len(evs) == 0 {
-			return nil
-		}
-		delivered, err := core.ProcessBatch(c.node(idx), evs)
-		h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
-		h.addReplayed(delivered)
+		n, err := c.replayOne(idx)
 		if err != nil {
-			h.requeueFront(evs[delivered:])
 			if errors.Is(err, core.ErrOverloaded) {
 				return fmt.Errorf("cluster: node %d: %w", idx, err)
 			}
 			return &NodeDownError{Node: idx, Err: err}
 		}
+		if n == 0 {
+			return nil
+		}
 	}
 }
 
-// Get fetches the entity's record from its owning server. With batching
-// enabled the node's coalescing buffer is flushed first, so the read
-// observes every event this cluster handle accepted for the entity.
+// Get fetches the entity's record from its owning server.
 func (c *Cluster) Get(entityID uint64) (schema.Record, uint64, bool, error) {
 	idx := c.indexFor(entityID)
-	if c.batches != nil {
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).Get(entityID)
 	}
@@ -512,9 +414,6 @@ func (c *Cluster) Get(entityID uint64) (schema.Record, uint64, bool, error) {
 // Put stores a record on its owning server.
 func (c *Cluster) Put(rec schema.Record) error {
 	idx := c.indexFor(rec.EntityID())
-	if c.batches != nil {
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).Put(rec)
 	}
@@ -531,9 +430,6 @@ func (c *Cluster) Put(rec schema.Record) error {
 // Version conflicts come from a live node and do not count against it.
 func (c *Cluster) ConditionalPut(rec schema.Record, expected uint64) error {
 	idx := c.indexFor(rec.EntityID())
-	if c.batches != nil {
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).ConditionalPut(rec, expected)
 	}

@@ -59,53 +59,6 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// SpillPolicy selects what the event spill path does when a node's bounded
-// retry queue is full.
-type SpillPolicy int
-
-const (
-	// SpillReject (the default) refuses the event with a typed overload
-	// error carrying a retry-after hint. The caller keeps the event —
-	// nothing is silently lost — and its own backoff/retry machinery
-	// decides when to resubmit.
-	SpillReject SpillPolicy = iota
-	// SpillDropOldest evicts the oldest queued events to admit new ones,
-	// preferring fresh data under sustained overload. Evictions are real
-	// losses, counted in NodeHealth.Dropped.
-	SpillDropOldest
-	// SpillBlock waits for the drainer to free queue space, applying
-	// head-of-line backpressure to the producer instead of shedding. If
-	// the node never recovers the producer blocks until the cluster is
-	// closed.
-	SpillBlock
-)
-
-// String implements fmt.Stringer.
-func (p SpillPolicy) String() string {
-	switch p {
-	case SpillReject:
-		return "reject"
-	case SpillDropOldest:
-		return "drop-oldest"
-	case SpillBlock:
-		return "block"
-	}
-	return "unknown"
-}
-
-// ParseSpillPolicy maps a flag string onto a SpillPolicy.
-func ParseSpillPolicy(s string) (SpillPolicy, error) {
-	switch s {
-	case "reject", "":
-		return SpillReject, nil
-	case "drop-oldest":
-		return SpillDropOldest, nil
-	case "block":
-		return SpillBlock, nil
-	}
-	return SpillReject, fmt.Errorf("cluster: unknown spill policy %q (want reject, drop-oldest or block)", s)
-}
-
 // HealthConfig tunes per-node failure tracking. The zero value selects the
 // defaults.
 type HealthConfig struct {
@@ -117,13 +70,12 @@ type HealthConfig struct {
 	ProbeInterval time.Duration
 	// RetryQueue bounds the per-node spill queue for fire-and-forget
 	// events while the node is down (default 4096; negative disables
-	// spilling, making event routing fail fast instead).
+	// spilling, making event routing fail fast instead). A full queue
+	// refuses further events with a typed overload error carrying a
+	// retry-after hint: the caller keeps them, nothing is silently lost.
 	RetryQueue int
 	// RetryInterval is the background drainer's pacing (default 20ms).
 	RetryInterval time.Duration
-	// SpillPolicy selects the overflow behavior of a full spill queue
-	// (default SpillReject: surface a typed overload error).
-	SpillPolicy SpillPolicy
 	// SpillRetryAfter is the retry hint attached to overflow rejections
 	// (default: RetryInterval, the drainer's pacing — the earliest a slot
 	// can plausibly free up).
@@ -156,13 +108,16 @@ type NodeHealth struct {
 	QueuedEvents int
 	Spilled      uint64 // events ever diverted to the spill queue
 	Replayed     uint64 // spilled events successfully delivered
-	Dropped      uint64 // events lost to drop-oldest evictions
 	Rejected     uint64 // events refused with a typed overload error (caller retains them)
 	LastErr      error
 }
 
 // nodeHealth is the live circuit breaker + spill queue for one node.
 type nodeHealth struct {
+	// replayMu serializes replay of the spill queue (Cluster.replayOne);
+	// it is taken before mu and held across the delivery.
+	replayMu sync.Mutex
+
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int
@@ -172,7 +127,6 @@ type nodeHealth struct {
 	queue    []event.Event
 	spilled  uint64
 	replayed uint64
-	dropped  uint64
 	rejected uint64
 }
 
@@ -245,32 +199,25 @@ func (h *nodeHealth) releaseProbe() {
 	h.mu.Unlock()
 }
 
-// spill queues ev for background replay; reports false when the queue is
-// full or disabled. A full queue under SpillDropOldest evicts its oldest
-// events to admit ev (counted as dropped — those are real losses); under
-// SpillReject the refusal is counted so callers can surface a typed
-// overload error. SpillBlock refusals are not counted: the caller polls
-// until a slot frees up, and counting every poll would inflate the stat.
-func (h *nodeHealth) spill(ev event.Event, bound int, policy SpillPolicy) bool {
+// spill queues the longest prefix of evs that fits under bound for
+// background replay and returns its length (0 when the queue is disabled,
+// bound < 0; everything when it is unbounded, bound == 0). Events that do
+// not fit are counted as rejected: the caller keeps them and surfaces a
+// typed overload error.
+func (h *nodeHealth) spill(evs []event.Event, bound int) int {
 	if bound < 0 {
-		return false
+		return 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if bound > 0 && len(h.queue) >= bound {
-		if policy != SpillDropOldest {
-			if policy == SpillReject {
-				h.rejected++
-			}
-			return false
-		}
-		evict := len(h.queue) - bound + 1
-		h.queue = h.queue[evict:]
-		h.dropped += uint64(evict)
+	n := len(evs)
+	if bound > 0 {
+		n = min(n, max(bound-len(h.queue), 0))
 	}
-	h.queue = append(h.queue, ev)
-	h.spilled++
-	return true
+	h.queue = append(h.queue, evs[:n]...)
+	h.spilled += uint64(n)
+	h.rejected += uint64(len(evs) - n)
+	return n
 }
 
 // popBatch removes up to max oldest queued events, preserving their order.
@@ -325,7 +272,6 @@ func (h *nodeHealth) snapshot() NodeHealth {
 		QueuedEvents: len(h.queue),
 		Spilled:      h.spilled,
 		Replayed:     h.replayed,
-		Dropped:      h.dropped,
 		Rejected:     h.rejected,
 		LastErr:      h.lastErr,
 	}

@@ -210,40 +210,10 @@ func TestQueueBoundRejectsTypedWhenFull(t *testing.T) {
 	if refused == 0 || h.Rejected == 0 {
 		t.Fatalf("full queue never refused events: refused=%d health=%+v", refused, h)
 	}
-	// Under the default reject policy nothing is silently lost: every
-	// event is either queued for replay or refused back to its caller.
-	if h.Dropped != 0 {
-		t.Fatalf("reject policy dropped %d events", h.Dropped)
-	}
-	if int(h.Spilled)+refused != 20 {
-		t.Fatalf("spilled %d + refused %d != 20 offered", h.Spilled, refused)
-	}
-}
-
-func TestSpillDropOldestEvictsForFreshEvents(t *testing.T) {
-	c, fs := flakyCluster(t, HealthConfig{
-		FailureThreshold: 1, ProbeInterval: time.Hour, RetryQueue: 5,
-		RetryInterval: time.Hour, SpillPolicy: SpillDropOldest,
-	})
-	fs.down.Store(true)
-	for i := 0; i < 20; i++ {
-		if err := c.ProcessEventAsync(event.Event{Caller: uint64(i + 1)}); err != nil {
-			t.Fatalf("event %d: drop-oldest must always accept, got %v", i, err)
-		}
-	}
-	h := c.Health(0)
-	if h.QueuedEvents != 5 {
-		t.Fatalf("queue = %d, want bound 5", h.QueuedEvents)
-	}
-	if h.Dropped != 15 || h.Rejected != 0 {
-		t.Fatalf("want 15 evictions and no rejections, got %+v", h)
-	}
-	// The queue holds the newest five events.
-	c.health[0].mu.Lock()
-	first := c.health[0].queue[0].Caller
-	c.health[0].mu.Unlock()
-	if first != 16 {
-		t.Fatalf("oldest surviving event is caller %d, want 16", first)
+	// Nothing is silently lost: every event is either queued for replay or
+	// refused back to its caller.
+	if int(h.Spilled)+refused != 20 || int(h.Rejected) != refused {
+		t.Fatalf("spilled %d + refused %d != 20 offered (health %+v)", h.Spilled, refused, h)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Instrument registers pull-based health metrics on reg: per-node breaker
-// state and spill-queue depth gauges plus spilled/replayed/dropped counters,
+// state and spill-queue depth gauges plus spilled/replayed/rejected counters,
 // all read from the live nodeHealth state at collection time (no hot-path
 // cost).
 func (c *Cluster) Instrument(reg *obs.Registry) {
@@ -34,12 +34,6 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 			func() float64 {
 				s := h.snapshot()
 				return float64(s.Replayed)
-			})
-		reg.CounterFunc(obs.Label("aim_cluster_events_dropped_total", "target", node),
-			"Events lost to drop-oldest spill-queue evictions.",
-			func() float64 {
-				s := h.snapshot()
-				return float64(s.Dropped)
 			})
 		reg.CounterFunc(obs.Label("aim_cluster_events_rejected_total", "target", node),
 			"Events refused with a typed overload error because the spill queue was full.",

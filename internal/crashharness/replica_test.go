@@ -106,6 +106,7 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 		}
 		cli, err := netproto.DialConfig(srv.addr, sch, netproto.ClientConfig{
 			CallTimeout: 2 * time.Second, MaxRetries: -1, DisableReconnect: true,
+			EventBatch: 64, EventLinger: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("iter %d: dial: %v", iter, err)
@@ -146,7 +147,6 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 				FailureThreshold: 3, ProbeInterval: 100 * time.Millisecond,
 				RetryQueue: 1 << 17, RetryInterval: 5 * time.Millisecond,
 			},
-			Batch: cluster.BatchConfig{MaxEvents: 64, Linger: time.Millisecond},
 			Replicas: cluster.ReplicaConfig{
 				AutoPromote: true, PromoteAfter: 150 * time.Millisecond,
 				CheckInterval: 10 * time.Millisecond,

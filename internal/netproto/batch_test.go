@@ -1,11 +1,19 @@
 package netproto
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/rules"
 	"repro/internal/schema"
 )
 
@@ -52,13 +60,7 @@ func waitProcessed(t *testing.T, node *core.StorageNode, want uint64) {
 }
 
 func TestEventBatchCodecRoundtrip(t *testing.T) {
-	evs := make([]event.Event, 17)
-	for i := range evs {
-		evs[i] = event.Event{
-			Caller: uint64(i) + 1, Callee: uint64(i) + 2, Timestamp: int64(i * 7),
-			Duration: int64(i), Cost: float64(i) / 4, LongDistance: i%3 == 0,
-		}
-	}
+	evs := fuzzEvents(17)
 	got, err := decodeEventBatch(encodeEventBatch(evs))
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +124,134 @@ func TestClientCoalescingOverTCP(t *testing.T) {
 	}
 }
 
+// TestWireBatchSizeEquivalence drives one seeded stream through an
+// EventBatch: 0 client (every event a batch frame of one) and an
+// EventBatch: 256 client (coalesced frames) and checks the server cannot
+// tell them apart: identical records (version stamp aside), rule firings and
+// archive contents LSN for LSN. It is the wire-level twin of core's
+// TestBatchedIngestMatchesPerEvent.
+func TestWireBatchSizeEquivalence(t *testing.T) {
+	const dayMs = 24 * 3600 * 1000
+	const nEvents, nEntities = 3000, 37
+	sch, err := schema.NewBuilder().
+		AddGroup(schema.GroupSpec{Name: "calls_today", Metric: schema.MetricCount,
+			Window: schema.Day(), Aggs: []schema.AggKind{schema.AggCount}}).
+		AddGroup(schema.GroupSpec{Name: "dur_today", Metric: schema.MetricDuration,
+			Window: schema.Day(), Aggs: []schema.AggKind{schema.AggSum}}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := []rules.Rule{{
+		ID: 1, Action: "alert",
+		Conjuncts: []rules.Conjunct{{{Kind: rules.LHSAttr, Attr: sch.MustAttrIndex("calls_today_count"), Op: rules.Ge, Value: 3}}},
+	}}
+	// Timestamps cross several day windows, so per-caller apply order shows
+	// in the records, not just in the counts.
+	rng := rand.New(rand.NewSource(14))
+	evs := make([]event.Event, nEvents)
+	for i := range evs {
+		evs[i] = event.Event{
+			Caller: uint64(rng.Intn(nEntities)) + 1, Callee: uint64(rng.Intn(nEntities)) + 1,
+			Timestamp: 100*dayMs + int64(i)*(dayMs/400),
+			Duration:  int64(rng.Intn(600)), Cost: float64(rng.Intn(100)) / 10,
+			LongDistance: rng.Intn(4) == 0,
+		}
+	}
+
+	type outcome struct {
+		firings uint64
+		records [][]byte
+		log     []event.Event
+	}
+	run := func(eventBatch int) outcome {
+		arch, err := archive.Open(t.TempDir(), archive.Options{SegmentEvents: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer arch.Close()
+		node, err := core.NewNode(core.Config{
+			Schema: sch, Partitions: 3, ESPThreads: 2, BucketSize: 32,
+			Rules: rule, Archive: arch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Stop()
+		srv, err := Serve("127.0.0.1:0", node, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cli, err := DialConfig(srv.Addr(), sch, ClientConfig{EventBatch: eventBatch, EventLinger: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		for i := range evs {
+			if err := cli.ProcessEventAsync(evs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cli.FlushEvents(); err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{firings: node.Stats().RuleFirings}
+		for e := uint64(1); e <= nEntities; e++ {
+			rec, _, ok, err := cli.Get(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var enc []byte
+			if ok {
+				rec[sch.VersionSlot] = 0
+				enc = make([]byte, schema.EncodedSize(len(rec)))
+				schema.EncodeRecord(rec, enc)
+			}
+			out.records = append(out.records, enc)
+		}
+		if err := arch.Replay(0, func(lsn uint64, ev event.Event) error {
+			if lsn != uint64(len(out.log)) {
+				t.Fatalf("EventBatch %d: replay lsn %d after %d events", eventBatch, lsn, len(out.log))
+			}
+			out.log = append(out.log, ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	single, batched := run(0), run(256)
+	if single.firings == 0 || single.firings != batched.firings {
+		t.Fatalf("firings: frames of one %d, coalesced %d (want equal, non-zero)", single.firings, batched.firings)
+	}
+	for i := range single.records {
+		if !bytes.Equal(single.records[i], batched.records[i]) {
+			t.Fatalf("entity %d: record differs between frames of one and coalesced frames", i+1)
+		}
+	}
+	if len(single.log) != nEvents || len(batched.log) != nEvents {
+		t.Fatalf("archived %d / %d events, want %d each", len(single.log), len(batched.log), nEvents)
+	}
+	for lsn := range single.log {
+		if single.log[lsn] != batched.log[lsn] || single.log[lsn] != evs[lsn] {
+			t.Fatalf("lsn %d: frames of one logged %+v, coalesced %+v, sent %+v",
+				lsn, single.log[lsn], batched.log[lsn], evs[lsn])
+		}
+	}
+}
+
+// TestWireTypeNumbersPinned pins the frame types other programs index by
+// number (e2ebench counts frames per type): retiring msgEvent (1) must not
+// shift anything.
+func TestWireTypeNumbersPinned(t *testing.T) {
+	if msgEventSync != 2 || msgResp != 8 || msgEventBatch != 9 {
+		t.Fatalf("wire types moved: msgEventSync=%d msgResp=%d msgEventBatch=%d, want 2, 8, 9",
+			msgEventSync, msgResp, msgEventBatch)
+	}
+}
+
 // TestClientLingerFlush checks a size-incomplete batch does not wait for
 // more traffic: the linger timer ships it.
 func TestClientLingerFlush(t *testing.T) {
@@ -158,38 +288,82 @@ func TestSyncCallFlushesBuffered(t *testing.T) {
 	waitProcessed(t, node, 5)
 }
 
-// TestServerSideCoalescing drives a legacy per-event client against a
-// server with ingest coalescing enabled: msgEvent frames group into batch
-// applies, a flush forces the partial group out, and the idle linger drains
-// a group no further traffic completes.
-func TestServerSideCoalescing(t *testing.T) {
-	cli, node, _ := startPairCfg(t,
-		ServerConfig{IngestBatch: 16, IngestLinger: 2 * time.Millisecond},
-		ClientConfig{})
-	for i := 0; i < 100; i++ {
-		ev := event.Event{Caller: uint64(i%20) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := cli.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
+// sheddingNode is a storage node whose admission control refuses every
+// fire-and-forget batch while shed is set.
+type sheddingNode struct {
+	*core.StorageNode
+	shed atomic.Bool
+}
+
+func (n *sheddingNode) ProcessEventBatch(evs []event.Event) error {
+	if n.shed.Load() {
+		return &core.OverloadedError{RetryAfter: 20 * time.Millisecond, Reason: "test"}
 	}
-	// 100 = 6 full groups of 16 plus a partial 4; the flush frame forces the
-	// partial out before the server acks.
-	if err := cli.FlushEvents(); err != nil {
+	return n.StorageNode.ProcessEventBatch(evs)
+}
+
+// TestOverloadPushbackForFramesOfOne checks the overload contract holds for
+// a client that forms no batches: frames of one refused by admission control
+// come back as an msgOverload push (ingest then fails locally, typed), the
+// next flush reports exactly how many events were refused, and nothing is
+// refused twice.
+func TestOverloadPushbackForFramesOfOne(t *testing.T) {
+	sch := netSchema(t)
+	inner, err := core.NewNode(core.Config{Schema: sch, Partitions: 1, BucketSize: 32})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := node.Stats().EventsProcessed; got != 100 {
-		t.Fatalf("server processed %d events, want 100", got)
+	node := &sheddingNode{StorageNode: inner}
+	srv, err := Serve("127.0.0.1:0", node, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := DialConfig(srv.Addr(), sch, ClientConfig{EventBatch: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cli.Close()
+		srv.Close()
+		inner.Stop()
+	})
+
+	node.shed.Store(true)
+	shipped := 0 // frames written before the pushback reached the client
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := cli.ProcessEventAsync(event.Event{Caller: 1, Timestamp: int64(shipped + 1), Duration: 1})
+		if err == nil {
+			shipped++
+			if time.Now().After(deadline) {
+				t.Fatalf("no overload pushback after %d refused frames", shipped)
+			}
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if !errors.Is(err, core.ErrOverloaded) {
+			t.Fatalf("ingest during pushback = %v, want a typed overload error", err)
+		}
+		if retry, ok := core.RetryAfterHint(err); !ok || retry <= 0 {
+			t.Fatalf("local rejection carries no retry-after hint: %v", err)
+		}
+		break
 	}
 
-	// Idle-linger path: a lone partial group with no follow-up frame must
-	// still drain via the read-deadline peek.
-	for i := 0; i < 5; i++ {
-		ev := event.Event{Caller: 3, Timestamp: int64(200 + i), Duration: 5, Cost: 1}
-		if err := cli.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
+	node.shed.Store(false)
+	err = cli.FlushEvents()
+	if !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("flush after refused frames = %v, want the typed overload error", err)
 	}
-	waitProcessed(t, node, 105)
+	if want := fmt.Sprintf("%d events rejected", shipped); !strings.Contains(err.Error(), want) {
+		t.Fatalf("flush reported %q, want it to count %q", err, want)
+	}
+	if err := cli.FlushEvents(); err != nil {
+		t.Fatalf("second flush re-reported the rejection: %v", err)
+	}
+	if got := inner.Stats().EventsProcessed; got != 0 {
+		t.Fatalf("node applied %d refused events", got)
+	}
 }
 
 // TestLingerRetriesAfterFailedFlush checks a dead timer cannot strand a

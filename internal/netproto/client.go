@@ -431,9 +431,11 @@ func (c *Client) call(typ uint8, body []byte, idempotent bool) ([]byte, error) {
 	return nil, lastErr
 }
 
-// ProcessEventAsync ships an event fire-and-forget (the 64 B CDR frame).
-// It is not transparently retried: delivery of a failed write is unknown,
-// so replay is left to the cluster layer's spill queue, which owns
+// ProcessEventAsync hands an event to the ESP stream fire-and-forget. With
+// EventBatch > 1 it joins the coalescing buffer; otherwise it ships now as
+// a batch frame of one and a write error is returned synchronously. It is
+// not transparently retried: delivery of a failed write is unknown, so
+// replay is left to the cluster layer's spill queue, which owns
 // at-least-once semantics for the ESP stream.
 func (c *Client) ProcessEventAsync(ev event.Event) error {
 	if err := c.ingestRejection(); err != nil {
@@ -442,24 +444,12 @@ func (c *Client) ProcessEventAsync(ev event.Event) error {
 	if c.co != nil {
 		return c.bufferEvent(ev)
 	}
-	conn, gen, err := c.ensureConn()
-	if err != nil {
-		return err
-	}
-	var buf [event.WireSize]byte
-	ev.Encode(buf[:])
-	if err := c.send(conn, frame{typ: msgEvent, body: buf[:]}); err != nil {
-		c.connLost(conn, gen, err)
-		return err
-	}
-	c.cfg.Metrics.eventsSent(1)
-	return nil
+	return c.sendEvents([]event.Event{ev})
 }
 
-// ProcessEventBatch ships evs as one fire-and-forget msgEventBatch frame,
-// taking ownership of the slice. Like ProcessEventAsync it is not
-// transparently retried: delivery of a failed write is unknown, so replay
-// belongs to the cluster layer's spill queue.
+// ProcessEventBatch ships evs as one fire-and-forget frame, taking
+// ownership of the slice. Like ProcessEventAsync it is not transparently
+// retried.
 func (c *Client) ProcessEventBatch(evs []event.Event) error {
 	if len(evs) == 0 {
 		return nil
@@ -473,6 +463,15 @@ func (c *Client) ProcessEventBatch(evs []event.Event) error {
 			return err
 		}
 	}
+	return c.sendEvents(evs)
+}
+
+// sendEvents writes evs as one msgEventBatch frame — the only place a
+// fire-and-forget event frame is written, whether it carries a lone event,
+// a caller-formed batch or a coalescer flush. A failed write tears the
+// connection down (the server discards a torn frame), so an error means the
+// frame did not take effect.
+func (c *Client) sendEvents(evs []event.Event) error {
 	conn, gen, err := c.ensureConn()
 	if err != nil {
 		return err

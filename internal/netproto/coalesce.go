@@ -13,14 +13,14 @@ import (
 // fires, or when any synchronous call needs the connection (preserving
 // frame order = call order).
 //
-// Failure semantics mirror the per-event path. A failed flush means the
+// Failure semantics mirror the uncoalesced path. A failed flush means the
 // frame never took effect server-side (a clean write error sends nothing; a
 // torn write kills the connection and the server discards the partial
 // frame), so the batch stays buffered for the next drain attempt and the
 // error is recorded in pending. The NEXT ProcessEventAsync surfaces pending
 // instead of buffering its event — that event is therefore owned by the
 // caller again, which lets the cluster layer spill it exactly like a failed
-// per-event send.
+// frame of one.
 type coalescer struct {
 	mu      sync.Mutex
 	buf     []event.Event
@@ -136,18 +136,9 @@ func (c *Client) drainForOrder() {
 // co.mu. On failure the events stay buffered and pending records the cause.
 func (c *Client) flushEventsLocked() error {
 	co := c.co
-	conn, gen, err := c.ensureConn()
-	if err != nil {
-		co.pending = err
-		return err
+	co.pending = c.sendEvents(co.buf)
+	if co.pending == nil {
+		co.buf = co.buf[:0]
 	}
-	if err := c.send(conn, frame{typ: msgEventBatch, body: encodeEventBatch(co.buf)}); err != nil {
-		c.connLost(conn, gen, err)
-		co.pending = err
-		return err
-	}
-	c.cfg.Metrics.eventsSent(len(co.buf))
-	co.buf = co.buf[:0]
-	co.pending = nil
-	return nil
+	return co.pending
 }

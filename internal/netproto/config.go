@@ -55,8 +55,9 @@ type ClientConfig struct {
 	// buffers up to EventBatch events and ships them as one msgEventBatch
 	// frame (flushed earlier by EventLinger, by FlushEvents, or by any
 	// synchronous call, which preserves read-your-writes ordering on the
-	// connection). 0 keeps the historical one-frame-per-event behavior;
-	// -1 selects DefaultEventBatch; 1 is equivalent to 0.
+	// connection). 0 forms no batches: every event ships at once as a frame
+	// of one and a write error is returned synchronously; -1 selects
+	// DefaultEventBatch; 1 is equivalent to 0.
 	EventBatch int
 	// EventLinger bounds how long a buffered event may wait for its batch
 	// to fill. 0 selects DefaultEventLinger; negative disables the timer

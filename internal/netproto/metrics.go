@@ -10,8 +10,6 @@ import (
 // opName maps wire message types to the op label of the RPC metrics.
 func opName(typ uint8) string {
 	switch typ {
-	case msgEvent:
-		return "event"
 	case msgEventSync:
 		return "event_sync"
 	case msgFlush:

@@ -31,7 +31,7 @@ import (
 
 // Message types.
 const (
-	msgEvent     uint8 = iota + 1 // body: 64 B event; fire-and-forget
+	_            uint8 = iota + 1 // reserved: 1 was msgEvent, retired (a lone event is a msgEventBatch of one)
 	msgEventSync                  // body: 64 B event; resp: i32 firings
 	msgFlush                      // resp: empty
 	msgGet                        // body: u64 entity; resp: u8 found, u64 version, record

@@ -70,7 +70,7 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 		conn.Close()
 	}
 	// Truncated bodies for every message type.
-	for _, typ := range []uint8{msgEvent, msgEventSync, msgGet, msgPut, msgCondPut, msgQuery} {
+	for _, typ := range []uint8{msgEventBatch, msgEventSync, msgGet, msgPut, msgCondPut, msgQuery} {
 		conn := rawDial(t, srv.Addr())
 		var hdr [13]byte
 		binary.LittleEndian.PutUint32(hdr[0:], 9+2) // 2-byte body

@@ -17,8 +17,9 @@ import (
 	"repro/internal/schema"
 )
 
-// Server exposes a storage node over TCP. Event frames are applied with
-// fire-and-forget semantics (the ESP stream); request/response frames are
+// Server exposes a storage node over TCP. Event batch frames are applied with
+// fire-and-forget semantics (the ESP stream) exactly as they arrive — the
+// server forms no batches of its own; request/response frames are
 // answered in order of completion, with query work running asynchronously
 // so slow scans never block the event path (§4.2: ESP communication is
 // synchronous, RTA communication is asynchronous).
@@ -44,17 +45,6 @@ type ServerConfig struct {
 	// Metrics, when set, instruments request handling (see
 	// NewServerMetrics). Nil disables instrumentation at zero cost.
 	Metrics *ServerMetrics
-	// IngestBatch enables server-side event coalescing for clients that
-	// still send one msgEvent frame per event: up to IngestBatch
-	// consecutive event frames on a connection are applied as one
-	// node-level batch. Any other frame type (and connection teardown)
-	// applies the pending batch first, so per-connection ordering is
-	// unchanged. 0 or 1 disables coalescing.
-	IngestBatch int
-	// IngestLinger bounds how long a coalesced event may wait for more
-	// traffic while the connection is idle. 0 selects DefaultEventLinger;
-	// only meaningful when IngestBatch > 1.
-	IngestLinger time.Duration
 	// ReplArchive, when set, enables the WAL log-shipping stream
 	// (DESIGN.md §12): msgReplSubscribe subscribers tail this archive —
 	// normally the served node's own event WAL.
@@ -179,15 +169,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 
-	// Reads are buffered: one kernel read can surface many 77 B event
-	// frames. With IngestBatch > 1 consecutive msgEvent frames additionally
-	// coalesce in evbuf and hit the node as one batch.
+	// Reads are buffered: one kernel read can surface many small frames.
 	br := bufio.NewReaderSize(conn, 64<<10)
-	batchMax := s.cfg.IngestBatch
-	linger := s.cfg.IngestLinger
-	if linger <= 0 {
-		linger = DefaultEventLinger
-	}
 	// Overload pushback state. Fire-and-forget events rejected by admission
 	// control have no reply frame, so the server (a) pushes an msgOverload
 	// frame — throttled to one per retry-after window — telling the client
@@ -214,90 +197,40 @@ func (s *Server) handleConn(conn net.Conn) {
 			writeMu.Unlock()
 		}
 	}
-	var evbuf []event.Event
-	flushEvents := func() {
-		if len(evbuf) == 0 {
-			return
-		}
-		evs := evbuf
-		evbuf = nil
-		// Fire-and-forget: errors surface via msgFlush, as on the
-		// per-event path.
-		applied, err := core.ProcessBatch(s.node, evs)
-		notifyOverload(err, len(evs)-applied)
-	}
-	defer flushEvents()
 
 	for {
-		if len(evbuf) > 0 && br.Buffered() == 0 {
-			// Stream idle with a pending batch: wait at most linger for the
-			// next frame's first byte, then apply what we have. bufio drops
-			// its stored read error once consumed, so a deadline timeout
-			// here does not poison later reads.
-			conn.SetReadDeadline(time.Now().Add(linger))
-			_, err := br.Peek(1)
-			conn.SetReadDeadline(time.Time{})
-			if err != nil {
-				flushEvents()
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					continue
-				}
-				return
-			}
-		}
 		f, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		if f.typ != msgEvent {
-			// Ordering: a batch coalesced from earlier event frames must be
-			// applied before any later request on the same connection.
-			flushEvents()
-		}
 		t0 := time.Now()
 		switch f.typ {
-		case msgEvent, msgEventSync:
-			var ev event.Event
-			if err := ev.Decode(f.body); err != nil {
-				if f.typ == msgEventSync {
-					reply(f.reqID, errBody(err))
-				}
-				continue
-			}
-			if f.typ == msgEvent {
-				s.cfg.Metrics.eventsReceived(1)
-				if batchMax > 1 {
-					evbuf = append(evbuf, ev)
-					if len(evbuf) >= batchMax {
-						flushEvents()
-					}
-					continue
-				}
-				if err := s.node.ProcessEventAsync(ev); err != nil {
-					// Fire-and-forget: the error surfaces via Flush.
-					notifyOverload(err, 1)
-					continue
-				}
-			} else {
-				firings, err := s.node.ProcessEvent(ev)
-				if err != nil {
-					reply(f.reqID, errBody(err))
-					continue
-				}
-				var out [4]byte
-				binary.LittleEndian.PutUint32(out[:], uint32(firings))
-				reply(f.reqID, okBody(out[:]))
-			}
 		case msgEventBatch:
+			// The one fire-and-forget branch: the ESP stream arrives as
+			// batches (a lone event is a batch of one) and each is applied
+			// as it stands. Errors surface via msgFlush.
 			evs, err := decodeEventBatch(f.body)
 			if err != nil {
-				// Fire-and-forget: a malformed batch has no reply channel.
+				// A malformed batch has no reply channel.
 				continue
 			}
 			s.cfg.Metrics.eventsReceived(len(evs))
 			applied, err := core.ProcessBatch(s.node, evs)
 			notifyOverload(err, len(evs)-applied)
+		case msgEventSync:
+			var ev event.Event
+			if err := ev.Decode(f.body); err != nil {
+				reply(f.reqID, errBody(err))
+				continue
+			}
+			firings, err := s.node.ProcessEvent(ev)
+			if err != nil {
+				reply(f.reqID, errBody(err))
+				continue
+			}
+			var out [4]byte
+			binary.LittleEndian.PutUint32(out[:], uint32(firings))
+			reply(f.reqID, okBody(out[:]))
 		case msgFlush:
 			if err := s.node.FlushEvents(); err != nil {
 				reply(f.reqID, errBody(err))
