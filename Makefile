@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-baseline e2e e2e-compare obs-guard ingest-guard kernel-guard overload-guard crash replica-crash fuzz-smoke ci
+.PHONY: build test race bench e2e e2e-compare obs-guard ingest-guard kernel-guard overload-guard crash replica-crash fuzz-smoke ci
 
 ## build: compile every package and the aimbench binary
 build:
@@ -25,17 +25,6 @@ e2e:
 ## e2e-compare: compare two recorded e2ebench result sets, e.g. make e2e-compare A=benchmarks/results/pr12/parent B=benchmarks/results/pr12/change (paths relative to the repository root, or absolute)
 e2e-compare:
 	$(GO) run -C e2ebench . -compare $(abspath $(A)) $(abspath $(B))
-
-## bench-check: regression gate — run the smoke and tiered scenarios and compare against the checked-in CI baselines (wide noise band; catches collapses, not drift)
-bench-check:
-	$(GO) run ./cmd/aimbench -scenario smoke -compare -fingerprint ci -noise-floor 1.5
-	$(GO) run ./cmd/aimbench -scenario tiered -compare -fingerprint ci -noise-floor 1.5
-
-## bench-baseline: record + promote scenario baselines for THIS host (run after intentional perf changes)
-bench-baseline:
-	$(GO) run ./cmd/aimbench -scenario smoke -record -promote
-	$(GO) run ./cmd/aimbench -scenario steady -record -promote
-	$(GO) run ./cmd/aimbench -scenario tiered -record -promote
 
 ## obs-guard: check the metrics layer keeps scan-round overhead within 3%
 obs-guard:
@@ -75,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEventBatch -fuzztime 10s -fuzzminimizetime 1s ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReplBatch -fuzztime 10s -fuzzminimizetime 1s ./internal/netproto/
 
-## ci: full gate — vet, build, race-detect the whole tree, the e2ebench module (which the root ./... does not reach), metrics overhead guard, crash + fuzz smoke
+## ci: full gate — vet, build, race-detect the whole tree, the e2ebench module (which the root ./... does not reach; its TestQuick runs the benchmark end to end), the obs/ingest/kernel/overload ratio guards, fuzz + crash smoke. Benchmark numbers are not gated here: compare e2ebench result sets with make e2e-compare
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -86,7 +75,6 @@ ci:
 	AIM_INGEST_GUARD=1 $(GO) test -run TestIngestBatchGuard ./internal/bench/
 	AIM_KERNEL_GUARD=1 $(GO) test -run TestKernelGuard ./internal/bench/
 	AIM_OVERLOAD_GUARD=1 $(GO) test -run TestOverloadGuard ./internal/bench/
-	$(MAKE) bench-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) crash
 	$(MAKE) replica-crash

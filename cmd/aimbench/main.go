@@ -1,22 +1,14 @@
 // aimbench regenerates the paper's tables and figures (see DESIGN.md §4 for
 // the experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-// results) and runs the declarative scenario observatory (DESIGN.md §13):
-// record scenario results under benchmarks/results/, compare fresh runs
-// against the promoted host baseline, and gate CI on regression.
+// results). It prints tables; it records and compares nothing. The repository
+// benchmark — the one run/record/compare path — is e2ebench (DESIGN.md §13).
 //
 // Usage:
 //
 //	aimbench -exp all
 //	aimbench -exp fig9b -duration 3s -entities 50000
-//	aimbench -exp fused,ingest -record        # emit result files per experiment
+//	aimbench -exp fused,ingest -metrics-dump metrics.txt
 //	AIM_FULL=1 aimbench -exp kpi              # full 546-indicator schema
-//
-//	aimbench -list-scenarios
-//	aimbench -scenario smoke -record          # result under benchmarks/results/<fp>/
-//	aimbench -scenario smoke -record -promote # and make it the host baseline
-//	aimbench -scenario smoke -compare         # diff vs baseline, exit 3 on breach
-//	aimbench -scenario specs/custom.json -record
-//	aimbench -scenario smoke -compare -fingerprint ci -noise-floor 1.5  # CI gate
 package main
 
 import (
@@ -29,7 +21,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 type experiment struct {
@@ -61,12 +52,10 @@ var experiments = []experiment{
 	{"tiered", "tiered main: entities/GB and cold-scan penalty, flat vs compressed", bench.TieredSweep},
 }
 
-// Exit codes: 0 ok, 1 runtime error, 2 usage error, 3 regression breach.
-const exitRegression = 3
-
+// Exit codes: 0 ok, 1 runtime error, 2 usage error.
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "experiment(s) to run: comma list, 'all' or 'list'")
+		expFlag  = flag.String("exp", "all", "experiment(s) to run: comma list, 'all' or 'list'")
 		entities = flag.Uint64("entities", 0, "entities per server (overrides AIM_ENTITIES)")
 		rate     = flag.Float64("rate", 0, "event rate per server (overrides AIM_RATE)")
 		duration = flag.Duration("duration", 0, "measurement window per point (overrides AIM_DURATION)")
@@ -74,56 +63,13 @@ func main() {
 		full     = flag.Bool("full", false, "use the full 546-indicator schema")
 
 		metricsDump = flag.String("metrics-dump", "", `write the Prometheus text exposition of everything the experiments measured to this file after the run ("-" = stdout)`)
-
-		scenarioFlag  = flag.String("scenario", "", "scenario to run: a builtin name or a JSON spec path")
-		listScenarios = flag.Bool("list-scenarios", false, "list builtin scenarios and exit")
-		record        = flag.Bool("record", false, "write a schema-versioned result file under -results-dir")
-		compare       = flag.Bool("compare", false, "diff this run against the recorded baseline; exit 3 on regression")
-		promote       = flag.Bool("promote", false, "make this run the baseline for its fingerprint")
-		trials        = flag.Int("trials", 0, "override the spec's trial count")
-		noiseFloor    = flag.Float64("noise-floor", 0, "minimum relative noise band for -compare (default 0.25; CI uses a wide one)")
-		bandMADs      = flag.Float64("band-mads", 0, "trial-spread multiplier for the noise band (default 5)")
-		fingerprint   = flag.String("fingerprint", "", `override the host fingerprint for result/baseline paths (e.g. "ci")`)
-		baselineFlag  = flag.String("baseline", "", "explicit baseline file for -compare (default benchmarks/baselines/<fp>/<scenario>.json)")
-		resultsDir    = flag.String("results-dir", scenario.DefaultResultsDir, "root for recorded results")
-		baselinesDir  = flag.String("baselines-dir", scenario.DefaultBaselinesDir, "root for promoted baselines")
 	)
 	flag.Parse()
 
-	if *listScenarios {
-		for _, s := range scenario.Builtins() {
-			fmt.Printf("%-16s %s\n", s.Name, s.Description)
-		}
-		return
-	}
-	if *scenarioFlag != "" && *expFlag != "" {
-		fmt.Fprintln(os.Stderr, "aimbench: -scenario and -exp are mutually exclusive")
-		os.Exit(2)
-	}
-	if *scenarioFlag != "" {
-		os.Exit(runScenario(scenarioOpts{
-			target:       *scenarioFlag,
-			record:       *record,
-			compare:      *compare,
-			promote:      *promote,
-			trials:       *trials,
-			noiseFloor:   *noiseFloor,
-			bandMADs:     *bandMADs,
-			fingerprint:  *fingerprint,
-			baselineFile: *baselineFlag,
-			resultsDir:   *resultsDir,
-			baselinesDir: *baselinesDir,
-		}))
-	}
-	if *expFlag == "" {
-		*expFlag = "all"
-	}
-
 	p := bench.Defaults()
-	if *metricsDump != "" || *record {
+	if *metricsDump != "" {
 		// One shared registry across all selected experiments; systems
-		// started and stopped in sequence accumulate into the same series,
-		// and -record embeds the dump in each emitted result file.
+		// started and stopped in sequence accumulate into the same series.
 		p.Metrics = obs.NewRegistry()
 	}
 	if *entities > 0 {
@@ -174,10 +120,6 @@ func main() {
 	fmt.Printf("aimbench: %d entities/server, %.0f ev/s, %v/point, <=%d servers, %s schema\n",
 		p.Entities, p.EventRate, p.Duration, p.MaxServers, schemaName)
 
-	var reporter *bench.Reporter
-	if *record {
-		reporter = bench.NewReporter(*resultsDir)
-	}
 	ran := 0
 	start := time.Now()
 	for _, e := range experiments {
@@ -192,14 +134,6 @@ func main() {
 		}
 		tbl.Fprint(os.Stdout)
 		fmt.Printf("(%s took %v)\n", e.name, time.Since(t0).Round(time.Millisecond))
-		if reporter != nil {
-			path, err := reporter.EmitExperiment(e.name, tbl, p.Metrics)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aimbench: record %s: %v\n", e.name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("recorded %s\n", path)
-		}
 		ran++
 	}
 	fmt.Printf("\ntotal: %d experiment(s) in %v\n", ran, time.Since(start).Round(time.Millisecond))
@@ -237,134 +171,4 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-type scenarioOpts struct {
-	target       string
-	record       bool
-	compare      bool
-	promote      bool
-	trials       int
-	noiseFloor   float64
-	bandMADs     float64
-	fingerprint  string
-	baselineFile string
-	resultsDir   string
-	baselinesDir string
-}
-
-// runScenario executes the scenario workflow: run, then any of record /
-// compare / promote. Returns the process exit code.
-func runScenario(o scenarioOpts) int {
-	sp, err := resolveSpec(o.target)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aimbench: %v\n", err)
-		return 2
-	}
-	if o.trials > 0 {
-		sp.Trials = o.trials
-	}
-	if !o.record && !o.compare && !o.promote {
-		// A bare -scenario run still prints its stats; nothing persists.
-		fmt.Println("aimbench: note: neither -record, -compare nor -promote given; results are printed only")
-	}
-
-	fmt.Printf("aimbench: scenario %s — %d entities, %.0f ev/s, %d clients, %d trial(s), %v window\n",
-		sp.Name, sp.Entities, sp.EventRate, sp.Clients, sp.Trials, sp.MeasuredWindow())
-	t0 := time.Now()
-	res, err := bench.RunScenario(sp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aimbench: scenario %s: %v\n", sp.Name, err)
-		return 1
-	}
-	if o.fingerprint != "" {
-		res.Env.Fingerprint = o.fingerprint
-	}
-	fmt.Printf("ran %d trial(s) in %v on %s\n", sp.Trials, time.Since(t0).Round(time.Millisecond), res.Env.Fingerprint)
-	printMetrics(res)
-
-	if o.record {
-		path, err := scenario.WriteResult(o.resultsDir, res)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aimbench: record: %v\n", err)
-			return 1
-		}
-		fmt.Printf("recorded %s\n", path)
-	}
-
-	exit := 0
-	if o.compare {
-		bp := o.baselineFile
-		if bp == "" {
-			bp = scenario.BaselinePath(o.baselinesDir, res.Env.Fingerprint, res.Scenario)
-		}
-		baseline, err := scenario.LoadResult(bp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aimbench: compare: %v\n(no baseline yet? record one with: aimbench -scenario %s -record -promote)\n",
-				err, res.Scenario)
-			return 1
-		}
-		rep, err := scenario.Compare(baseline, res, scenario.CompareOptions{
-			NoiseFloor: o.noiseFloor, BandMADs: o.bandMADs,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aimbench: compare: %v\n", err)
-			return 1
-		}
-		rep.Fprint(os.Stdout)
-		if rep.Regressions > 0 {
-			fmt.Fprintf(os.Stderr, "aimbench: %d metric(s) regressed beyond the noise band (baseline %s)\n",
-				rep.Regressions, bp)
-			exit = exitRegression
-		}
-	}
-
-	if o.promote {
-		path, err := scenario.Promote(o.baselinesDir, res)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aimbench: promote: %v\n", err)
-			return 1
-		}
-		fmt.Printf("promoted baseline %s\n", path)
-	}
-	return exit
-}
-
-// resolveSpec maps the -scenario argument to a spec: a builtin name, or a
-// path to a JSON spec file.
-func resolveSpec(target string) (*scenario.Spec, error) {
-	if s := scenario.Lookup(target); s != nil {
-		return s, nil
-	}
-	if strings.ContainsAny(target, "/.") {
-		return scenario.LoadFile(target)
-	}
-	return nil, fmt.Errorf("unknown scenario %q (try -list-scenarios, or pass a JSON spec path)", target)
-}
-
-func printMetrics(res *scenario.Result) {
-	names := make([]string, 0, len(res.Metrics))
-	for n := range res.Metrics {
-		names = append(names, n)
-	}
-	// Stable order for eyeballing run-over-run.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, n := range names {
-		m := res.Metrics[n]
-		fmt.Printf("  %-24s %10.2f %-5s (MAD %.2f, trials %v)\n", n, m.Median, m.Unit, m.MAD, fmtTrials(m.Trials))
-	}
-}
-
-func fmtTrials(xs []float64) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = fmt.Sprintf("%.1f", x)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }

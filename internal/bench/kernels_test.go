@@ -74,11 +74,11 @@ func TestKernelGuard(t *testing.T) {
 
 	// --- Compressed-chunk compares: scanning the cold tier's FOR and dict
 	// encodings in place must stay within the tiered scan-penalty budget.
-	// The end-to-end bound is <=2x (gated by the tiered scenario baseline);
-	// at kernel grain we allow 3x CmpInt so scheduler noise on the shared
-	// host can't flake the guard, while still catching the regression class
-	// where per-element decode falls back to dispatch or materialization
-	// (those run >5x).
+	// End to end the frozen path is measured by e2ebench's hotkey_tiered
+	// workload; at kernel grain we allow 3x CmpInt so scheduler noise on
+	// the shared host can't flake the guard, while still catching the
+	// regression class where per-element decode falls back to dispatch or
+	// materialization (those run >5x).
 	forCol := make([]uint64, n)
 	dictCol := make([]uint64, n)
 	for i := range forCol {

@@ -43,10 +43,8 @@ func StartSystem(p Params, w *Workload, servers int, entities uint64) (*System, 
 		MaxBatch:    p.MaxBatch,
 		ESPQueueLen: p.ESPQueueLen,
 		Overload:    p.Overload,
-		Tier:        p.Tier,
 		Rules:       w.Rules,
 		Metrics:     reg,
-		Archive:     p.Archive,
 	}
 	cl, nodes, err := cluster.NewLocal(servers, cfg)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rules"
@@ -51,9 +50,6 @@ type Params struct {
 	// Overload configures storage-node admission control (zero = off,
 	// legacy blocking behavior).
 	Overload core.OverloadConfig
-	// Tier configures the ColumnMap compressed cold tier (zero = off, every
-	// bucket stays a flat hot slab).
-	Tier core.TierConfig
 	// QueryTimeout stamps RTA queries with a deadline so storage nodes can
 	// evict them from scan rounds under overload (0 = no deadlines).
 	QueryTimeout time.Duration
@@ -72,11 +68,6 @@ type Params struct {
 	// of the started system registers its instruments on (per-node series
 	// get {node="i"} labels). Nil keeps the system uninstrumented.
 	Metrics *obs.Registry
-	// Archive, when set, write-ahead-logs every ingested event on the
-	// storage node so follower replicas can tail it. Only meaningful for
-	// single-server systems (all nodes would share one log otherwise); the
-	// scenario runner uses it for replica-toggle scenarios.
-	Archive *archive.Archive
 }
 
 // Defaults returns laptop-scale parameters, honouring the AIM_* overrides.

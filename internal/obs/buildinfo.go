@@ -65,8 +65,7 @@ var registerMu sync.Mutex
 // RegisterBuildInfo registers the build-identity and process-liveness
 // metrics on reg: the conventional aim_build_info gauge (constant 1, with
 // the identity in its labels) and aim_process_uptime_seconds. Idempotent per
-// registry; obs.Serve calls it so every debug endpoint exposes them, and the
-// scenario harness embeds the same identity in result files. Nil-safe.
+// registry; obs.Serve calls it so every debug endpoint exposes them. Nil-safe.
 func RegisterBuildInfo(reg *Registry) {
 	if reg == nil {
 		return

@@ -1,9 +1,8 @@
 package obs
 
-import "strings"
-
-// Snapshot arithmetic: the scenario harness measures a bounded window of a
-// live system by snapshotting the registry at the window edges and diffing.
+// Snapshot arithmetic: a harness measures a bounded window of a live system
+// (bench.OverloadSweep, for one) by snapshotting the registry at the window
+// edges and diffing.
 // Counters and histograms subtract (the window's activity); gauges keep the
 // after-value (an instantaneous reading has no meaningful delta).
 
@@ -84,48 +83,4 @@ func SumCounters(snaps []MetricSnapshot, base string) float64 {
 		}
 	}
 	return sum
-}
-
-// SumSeries sums every non-histogram series with the given base name whose
-// label set contains labelPair (a literal `key="value"` fragment; empty
-// matches everything) — e.g. the cold-tier bytes across nodes from
-// aim_core_main_bytes{node="i",tier="cold"}.
-func SumSeries(snaps []MetricSnapshot, base, labelPair string) float64 {
-	var sum float64
-	for _, m := range snaps {
-		if m.Hist != nil {
-			continue
-		}
-		b, labels := splitName(m.Name)
-		if b != base {
-			continue
-		}
-		if labelPair != "" && !strings.Contains(labels, labelPair) {
-			continue
-		}
-		sum += m.Value
-	}
-	return sum
-}
-
-// MergeHistograms merges every histogram whose base name (labels stripped)
-// equals base into one snapshot — e.g. the per-follower staleness series
-// aim_repl_staleness_seconds{follower="…"} folded into one distribution.
-func MergeHistograms(snaps []MetricSnapshot, base string) HistSnapshot {
-	var out HistSnapshot
-	for _, m := range snaps {
-		if m.Hist == nil {
-			continue
-		}
-		if b, _ := splitName(m.Name); b != base {
-			continue
-		}
-		out.IsTime = m.Hist.IsTime
-		out.Count += m.Hist.Count
-		out.Sum += m.Hist.Sum
-		for i := range m.Hist.Buckets {
-			out.Buckets[i] += m.Hist.Buckets[i]
-		}
-	}
-	return out
 }

@@ -57,20 +57,6 @@ func TestDeltaSnapshotClampsRacingWriters(t *testing.T) {
 	}
 }
 
-func TestMergeHistogramsAcrossLabels(t *testing.T) {
-	reg := NewRegistry()
-	reg.LatencyHistogram(`lag_seconds{follower="a"}`, "").ObserveDuration(time.Millisecond)
-	reg.LatencyHistogram(`lag_seconds{follower="b"}`, "").ObserveDuration(time.Millisecond)
-	reg.LatencyHistogram("other_seconds", "").ObserveDuration(time.Millisecond)
-	m := MergeHistograms(reg.Snapshot(), "lag_seconds")
-	if m.Count != 2 {
-		t.Fatalf("merged count = %d, want 2", m.Count)
-	}
-	if !m.IsTime {
-		t.Fatal("merged snapshot lost IsTime")
-	}
-}
-
 func TestSumCounters(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`ev_total{node="0"}`, "").Add(4)

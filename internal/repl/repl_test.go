@@ -2,6 +2,7 @@ package repl
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/schema"
 )
 
@@ -115,6 +117,92 @@ func TestFollowerTailsArchiveIntoOwnWAL(t *testing.T) {
 	if s, ok := reg.Find(`aim_repl_staleness_seconds{follower="s0"}`); !ok || s.Value == 0 {
 		t.Fatalf("staleness histogram: found=%v observations=%v", ok, s.Value)
 	}
+}
+
+// TestFollowerTailsLivePrimaryUnderLoad: a follower tailing the WAL of a
+// live primary keeps up while concurrent producers ingest into the primary
+// and scans run on both nodes. Every event lands on the follower exactly
+// once, its per-follower series count them, and once merged the follower
+// answers a scan the same as the primary.
+func TestFollowerTailsLivePrimaryUnderLoad(t *testing.T) {
+	parch := openArchive(t, archive.Options{SegmentEvents: 64})
+	pnode := newNode(t, parch)
+	fnode := newNode(t, openArchive(t, archive.Options{}))
+	reg := obs.NewRegistry()
+	f := NewFollower(fnode, 0, FollowerConfig{Metrics: reg, Label: "f0"})
+	if err := f.Start(NewArchiveSource(parch, 0, ArchiveSourceConfig{MaxEvents: 32, Heartbeat: 2 * time.Millisecond})); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+
+	calls := replSchema(t).MustAttrIndex("calls_today_count")
+	q := &query.Query{ID: 1, Aggs: []query.AggExpr{{Op: query.OpSum, Attr: calls}}, GroupBy: -1}
+	sum := func(n *core.StorageNode) float64 {
+		p, err := n.SubmitQuery(q)
+		if err != nil {
+			t.Error(err)
+			return -1
+		}
+		res := p.Finalize(q)
+		if len(res.Rows) == 0 {
+			return 0
+		}
+		return res.Rows[0].Values[0]
+	}
+
+	const producers, perProducer = 4, 500
+	const total = producers * perProducer
+	var ingest, scans sync.WaitGroup
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		scans.Wait()
+	}()
+	for _, n := range []*core.StorageNode{pnode, fnode} {
+		scans.Add(1)
+		go func(n *core.StorageNode) {
+			defer scans.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					sum(n)
+				}
+			}
+		}(n)
+	}
+	for w := 0; w < producers; w++ {
+		ingest.Add(1)
+		go func(w int) {
+			defer ingest.Done()
+			for i := 0; i < perProducer; i++ {
+				if err := pnode.ProcessEventAsync(mkEvent(w*perProducer + i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	ingest.Wait()
+	if err := pnode.FlushEvents(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "catch-up under load", func() bool { return f.AppliedLSN() == total && f.Lag() == 0 })
+
+	if err := fnode.FlushEvents(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fnode.Stats().EventsProcessed; got != total {
+		t.Fatalf("follower processed %d events, want %d", got, total)
+	}
+	if s, ok := reg.Find(`aim_repl_events_total{follower="f0"}`); !ok || s.Value != total {
+		t.Fatalf("events counter: found=%v value=%v, want %d", ok, s.Value, total)
+	}
+	if s, ok := reg.Find(`aim_repl_staleness_seconds{follower="f0"}`); !ok || s.Value == 0 {
+		t.Fatalf("staleness histogram: found=%v observations=%v", ok, s.Value)
+	}
+	waitFor(t, "merged scans agree", func() bool { return sum(pnode) == total && sum(fnode) == total })
 }
 
 // TestFollowerReopensAfterSourceFailure: a dying source is redialed via the
