@@ -23,16 +23,10 @@ type Options struct {
 	Servers int
 	// PartitionsPerServer is n (default 5).
 	PartitionsPerServer int
-	// ESPThreadsPerServer is s (default 1).
-	ESPThreadsPerServer int
 	// BucketSize tunes the ColumnMap (default 3072; 1 = row store).
 	BucketSize int
-	// MaxBatch caps shared-scan query batches (default 8).
-	MaxBatch int
 	// Rules is the Business Rule set, replicated at every server.
 	Rules []Rule
-	// UseRuleIndex enables the Fabret-style rule index.
-	UseRuleIndex bool
 	// OnFiring receives rule firings; must be cheap and thread-safe.
 	OnFiring func(Firing)
 	// Factory creates Entity Records for unseen entities (segmentation
@@ -67,12 +61,9 @@ func Start(opts Options) (*System, error) {
 		Schema:         opts.Schema,
 		Dims:           opts.Dimensions,
 		Partitions:     opts.PartitionsPerServer,
-		ESPThreads:     opts.ESPThreadsPerServer,
 		BucketSize:     opts.BucketSize,
 		Factory:        opts.Factory,
-		MaxBatch:       opts.MaxBatch,
 		Rules:          opts.Rules,
-		UseRuleIndex:   opts.UseRuleIndex,
 		OnFiring:       opts.OnFiring,
 		IdleMergePause: opts.FreshnessPause,
 	}

@@ -40,7 +40,6 @@ var experiments = []experiment{
 	{"bucket", "§4.5: bucket-size scan ablation", bench.BucketSizeSweep},
 	{"batch", "§3.2: shared-scan batch-size ablation", bench.SharedScanBatch},
 	{"fused", "§4.7: fused batch plans vs naive shared scan", bench.FusedScanMicro},
-	{"steal", "§3.2: fixed assignment vs work-stealing scan", bench.WorkStealingScan},
 	{"cow", "§6: differential updates vs copy-on-write", bench.COWvsDelta},
 	{"ingest", "batched ingest: wire batch-size sweep over TCP", bench.IngestBatchSweep},
 	{"kernels", "scan & apply kernel micro: compares, masked agg, split-phase apply", bench.KernelMicro},

@@ -46,14 +46,11 @@ func main() {
 		full     = flag.Bool("full", false, "full 546-indicator schema (must match servers)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 
-		callTimeout = flag.Duration("call-timeout", netproto.DefaultCallTimeout, "per-RPC deadline (negative = none)")
-		retries     = flag.Int("retries", netproto.DefaultMaxRetries, "retry budget for idempotent RPCs")
-		degraded    = flag.Bool("degraded", false, "tolerate node failures: accept incomplete RTA results")
+		degraded = flag.Bool("degraded", false, "tolerate node failures: accept incomplete RTA results")
 
 		queryDeadline = flag.Duration("query-deadline", 0, "per-query deadline stamped on every RTA query; past-deadline queries are shed server-side (0 = none, implies -degraded semantics for shed partials)")
 
-		ingestBatch  = flag.Int("ingest-batch", 256, "coalesce outgoing events client-side into wire batches of up to N events (0 or 1 = one frame per event)")
-		ingestLinger = flag.Duration("ingest-linger", time.Millisecond, "max time a partial client-side event batch may wait before it is flushed")
+		ingestBatch = flag.Int("ingest-batch", 256, "coalesce outgoing events client-side into wire batches of up to N events, flushed after at most 1ms (0 or 1 = one frame per event)")
 
 		metricsDump = flag.String("metrics-dump", "", `after the run, dump metrics: "local" = this process's client-side registry (Prometheus text on stdout); anything else = a server -debug-addr to fetch /metrics from`)
 
@@ -94,11 +91,8 @@ func main() {
 	var handles []core.Storage
 	var conns []*netproto.Client
 	ccfg := netproto.ClientConfig{
-		CallTimeout: *callTimeout,
-		MaxRetries:  *retries,
-		Metrics:     netproto.NewClientMetrics(reg, nil),
-		EventBatch:  *ingestBatch,
-		EventLinger: *ingestLinger,
+		Metrics:    netproto.NewClientMetrics(reg, nil),
+		EventBatch: *ingestBatch,
 	}
 	for _, addr := range strings.Split(*servers, ",") {
 		cli, err := netproto.DialConfig(strings.TrimSpace(addr), sch, ccfg)

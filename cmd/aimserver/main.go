@@ -40,6 +40,10 @@ import (
 	"repro/internal/workload"
 )
 
+// seed generates the dimension tables and the rule set. Clients rebuild both
+// from the same value (aimload's -seed default, e2ebench, crashharness).
+const seed = 42
+
 // openDurable recovers the archive + checkpoint state under dataDir and
 // builds the node from it, honoring the -recover policy: strict and salvage
 // force one mode; auto tries strict first and falls back to salvage when —
@@ -115,11 +119,8 @@ func main() {
 		partitions = flag.Int("partitions", 0, "data partitions / RTA threads (0 = cores - esp - 2)")
 		espThreads = flag.Int("esp", 1, "ESP service threads")
 		bucket     = flag.Int("bucket", 3072, "ColumnMap bucket size (1 = row store)")
-		maxBatch   = flag.Int("batch", 8, "shared-scan query batch cap")
 		full       = flag.Bool("full", false, "full 546-indicator schema (default: compact)")
 		ruleCount  = flag.Int("rules", workload.DefaultRuleCount, "business rule count (0 = none)")
-		ruleIndex  = flag.Bool("ruleindex", false, "use the Fabret-style rule index")
-		seed       = flag.Int64("seed", 42, "workload generation seed")
 		statsEvery = flag.Duration("stats", 10*time.Second, "stats logging interval (0 = off)")
 		debugAddr  = flag.String("debug-addr", "", "observability HTTP listen address for /metrics, /stats, /trace, /debug/pprof (\"\" = off)")
 
@@ -136,17 +137,7 @@ func main() {
 		bucketFreeze = flag.Bool("bucket-freeze", false, "enable the tiered main: full buckets unwritten for -cold-after merge epochs freeze into immutable compressed chunks; a delta write thaws its bucket")
 		coldAfter    = flag.Int("cold-after", core.DefaultColdAfterEpochs, "with -bucket-freeze: merge epochs a full bucket must go unwritten before it freezes (0 = eager, freeze after a single idle epoch)")
 
-		overload        = flag.Bool("overload", false, "enable overload protection: typed reject-with-retry-after ingest admission, delta watermarks, bounded scan admission")
-		queueLen        = flag.Int("esp-queue", 0, "per-ESP-worker request queue capacity (0 = default 4096)")
-		queueSoft       = flag.Int("queue-soft", 0, "with -overload: reject fire-and-forget ingest past this ESP queue depth (0 = 7/8 of -esp-queue)")
-		deltaSoft       = flag.Int("delta-soft", 0, "with -overload: per-partition delta records past which merges are prioritized (0 = 32768)")
-		deltaHard       = flag.Int("delta-hard", 0, "with -overload: per-partition delta records past which ingest rejects (0 = 2x -delta-soft)")
-		retryAfter      = flag.Duration("retry-after", 0, "with -overload: backoff hint attached to overload rejections (0 = 2ms)")
-		maxPendingQ     = flag.Int("max-pending-queries", 0, "with -overload: reject query submissions past this many pending (0 = submit queue capacity)")
-		faultResetEvery = flag.Int("fault-reset-every", 0, "fault injection: reset every connection after N writes (0 = off)")
-		faultReadDelay  = flag.Duration("fault-read-delay", 0, "fault injection: delay before every read")
-		faultWriteDelay = flag.Duration("fault-write-delay", 0, "fault injection: delay before every write")
-		faultDrop       = flag.Bool("fault-drop", false, "fault injection: silently drop all writes")
+		overload = flag.Bool("overload", false, "enable overload protection: typed reject-with-retry-after ingest admission, delta watermarks, bounded scan admission")
 	)
 	flag.Parse()
 
@@ -164,13 +155,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("aimserver: schema: %v", err)
 	}
-	dims, err := workload.BuildDimensions(*seed)
+	dims, err := workload.BuildDimensions(seed)
 	if err != nil {
 		log.Fatalf("aimserver: dimensions: %v", err)
 	}
 	var ruleSet []rules.Rule
 	if *ruleCount > 0 {
-		ruleSet, err = workload.BuildRules(sch, *ruleCount, *seed)
+		ruleSet, err = workload.BuildRules(sch, *ruleCount, seed)
 		if err != nil {
 			log.Fatalf("aimserver: rules: %v", err)
 		}
@@ -179,34 +170,22 @@ func main() {
 	reg := obs.NewRegistry()
 	tracer := obs.NewRingTracer(4096)
 	cfg := core.Config{
-		Schema:       sch,
-		Dims:         dims.Store,
-		Partitions:   *partitions,
-		ESPThreads:   *espThreads,
-		BucketSize:   *bucket,
-		Factory:      dims.Factory(sch),
-		MaxBatch:     *maxBatch,
-		ESPQueueLen:  *queueLen,
-		Rules:        ruleSet,
-		UseRuleIndex: *ruleIndex,
-		Metrics:      reg,
-		Tracer:       tracer,
+		Schema:     sch,
+		Dims:       dims.Store,
+		Partitions: *partitions,
+		ESPThreads: *espThreads,
+		BucketSize: *bucket,
+		Factory:    dims.Factory(sch),
+		Rules:      ruleSet,
+		Overload:   core.OverloadConfig{Enabled: *overload},
+		Metrics:    reg,
+		Tracer:     tracer,
 	}
 	if *coldAfter < 0 {
 		log.Fatalf("aimserver: -cold-after must be >= 0")
 	}
 	if *bucketFreeze {
 		cfg.Tier = core.TierConfig{Enabled: true, ColdAfterEpochs: *coldAfter}
-	}
-	if *overload {
-		cfg.Overload = core.OverloadConfig{
-			Enabled:           true,
-			ESPQueueSoftLimit: *queueSoft,
-			DeltaSoftRecords:  *deltaSoft,
-			DeltaHardRecords:  *deltaHard,
-			RetryAfter:        *retryAfter,
-			MaxPendingQueries: *maxPendingQ,
-		}
 	}
 	var node *core.StorageNode
 	var arch *archive.Archive
@@ -245,10 +224,10 @@ func main() {
 			Metrics: reg,
 			Label:   *follow,
 			Reopen: func(from uint64) (repl.Source, error) {
-				return netproto.DialReplica(*follow, from, netproto.ReplicaConfig{})
+				return netproto.DialReplica(*follow, from)
 			},
 		})
-		src, err := netproto.DialReplica(*follow, fromLSN, netproto.ReplicaConfig{})
+		src, err := netproto.DialReplica(*follow, fromLSN)
 		if err != nil {
 			log.Fatalf("aimserver: follow %s: %v", *follow, err)
 		}
@@ -276,15 +255,6 @@ func main() {
 			}
 			return sealed, err
 		}
-	}
-	if *faultResetEvery > 0 || *faultReadDelay > 0 || *faultWriteDelay > 0 || *faultDrop {
-		plan := netproto.NewFaultPlan()
-		plan.SetResetEvery(*faultResetEvery)
-		plan.SetReadDelay(*faultReadDelay)
-		plan.SetWriteDelay(*faultWriteDelay)
-		plan.SetDropWrites(*faultDrop)
-		scfg.ConnWrap = plan.Wrap
-		fmt.Println("aimserver: FAULT INJECTION ACTIVE on all accepted connections")
 	}
 	srv, err := netproto.ServeWithConfig(*addr, node, sch, scfg)
 	if err != nil {

@@ -165,15 +165,6 @@ type Options struct {
 	// Metrics, when set, registers the archive's instruments (fsync
 	// latency, segment count, salvage drops) on the registry.
 	Metrics *obs.Registry
-	// MetricsLabel adds a node="<label>" constant label to every metric.
-	MetricsLabel string
-}
-
-func label(l, name string) string {
-	if l == "" {
-		return name
-	}
-	return obs.Label(name, "node", l)
 }
 
 // Open creates or recovers an archive in dir.
@@ -192,17 +183,17 @@ func Open(dir string, opts Options) (*Archive, error) {
 	}
 	if reg := opts.Metrics; reg != nil {
 		a.met = archiveMetrics{
-			fsync: reg.LatencyHistogram(label(opts.MetricsLabel, "aim_archive_fsync_seconds"),
+			fsync: reg.LatencyHistogram("aim_archive_fsync_seconds",
 				"Latency of archive segment fsyncs."),
-			segments: reg.Gauge(label(opts.MetricsLabel, "aim_archive_segments"),
+			segments: reg.Gauge("aim_archive_segments",
 				"Live archive segment files."),
-			salvFrames: reg.Counter(label(opts.MetricsLabel, "aim_archive_salvage_frames_dropped_total"),
+			salvFrames: reg.Counter("aim_archive_salvage_frames_dropped_total",
 				"Frames dropped by Salvage recovery (torn tails and quarantined segments)."),
-			salvSegs: reg.Counter(label(opts.MetricsLabel, "aim_archive_salvage_segments_dropped_total"),
+			salvSegs: reg.Counter("aim_archive_salvage_segments_dropped_total",
 				"Whole segments quarantined by Salvage recovery."),
-			gcSegments: reg.Counter(label(opts.MetricsLabel, "aim_archive_segments_gc_total"),
+			gcSegments: reg.Counter("aim_archive_segments_gc_total",
 				"Segments removed by checkpoint-driven archive truncation."),
-			appendBytes: reg.Counter(label(opts.MetricsLabel, "aim_archive_append_bytes_total"),
+			appendBytes: reg.Counter("aim_archive_append_bytes_total",
 				"Bytes appended to the archive."),
 		}
 	}

@@ -399,50 +399,6 @@ func BucketSizeSweep(p Params) (*Table, error) {
 	return t, nil
 }
 
-// WorkStealingScan reproduces the §3.2 design-space ablation: the fixed
-// thread-partition assignment AIM chose vs work-stealing chunk assignment,
-// measured as the wall-clock time of one shared scan of a whole partition's
-// buckets for a batch of queries.
-func WorkStealingScan(p Params) (*Table, error) {
-	w, err := BuildWorkload(p)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Scan scheduling: fixed assignment vs work stealing (§3.2)",
-		Header: []string{"workers", "scan_ms", "records/us"},
-	}
-	part := core.NewPartition(w.Schema, 512, w.Dims.Factory(w.Schema))
-	gen := event.NewGenerator(p.Entities, p.Seed)
-	var ev event.Event
-	for e := uint64(1); e <= p.Entities; e++ {
-		gen.NextFor(&ev, e)
-		part.ApplyEvent(&ev)
-	}
-	part.MergeStep()
-	g, err := workload.NewQueryGen(w.Schema, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	queries := []*query.Query{g.Q1(0), g.Q2(2), g.Q3(), g.Q7(1)}
-	buckets := part.ScanSnapshot()
-	for _, workers := range []int{1, 2, 4, 8} {
-		var best time.Duration
-		for r := 0; r < 5; r++ {
-			t0 := time.Now()
-			if _, err := query.ScanShared(w.Schema, w.Dims.Store, buckets, queries, workers); err != nil {
-				return nil, err
-			}
-			if d := time.Since(t0); r == 0 || d < best {
-				best = d
-			}
-		}
-		t.AddRow(workers, ms(best), float64(p.Entities)/float64(best.Microseconds()))
-	}
-	t.Note("workers=1 equals the fixed single-thread-per-partition scan; gains need multiple cores")
-	return t, nil
-}
-
 // COWvsDelta reproduces the §6 comparison the paper sketches: differential
 // updates (AIM) vs copy-on-write snapshots under the same mixed load
 // (unthrottled events + closed-loop query clients).

@@ -84,10 +84,10 @@ func ReplicaFailover(p Params) (*Table, error) {
 	follower := repl.NewFollower(fnode, 0, repl.FollowerConfig{
 		ReopenBackoff: 2 * time.Millisecond,
 		Reopen: func(from uint64) (repl.Source, error) {
-			return netproto.DialReplica(srv.Addr(), from, netproto.ReplicaConfig{})
+			return netproto.DialReplica(srv.Addr(), from)
 		},
 	})
-	src, err := netproto.DialReplica(srv.Addr(), 0, netproto.ReplicaConfig{})
+	src, err := netproto.DialReplica(srv.Addr(), 0)
 	if err != nil {
 		return nil, err
 	}

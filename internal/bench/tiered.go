@@ -86,13 +86,25 @@ func TieredSweep(p Params) (*Table, error) {
 		return part, nil
 	}
 
+	plan, err := query.CompileBatch(w.Schema, queries)
+	if err != nil {
+		return nil, err
+	}
+	ex := query.NewExecutor(w.Schema, w.Dims.Store)
 	scanMs := func(part *core.Partition) (float64, error) {
 		var scanErr error
 		d := timeBest(5, func() {
-			if _, err := query.ScanShared(w.Schema, w.Dims.Store, part.ScanSnapshot(),
-				queries, 1); err != nil {
-				scanErr = err
+			partials := make([]*query.Partial, len(queries))
+			for i, q := range queries {
+				partials[i] = query.NewPartial(q)
 			}
+			for _, b := range part.ScanSnapshot() {
+				if err := ex.ProcessBucketBatch(b, plan, partials); err != nil {
+					scanErr = err
+					return
+				}
+			}
+			plan.FoldDuplicates(partials)
 		})
 		return float64(d.Microseconds()) / 1e3, scanErr
 	}

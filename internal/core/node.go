@@ -38,10 +38,10 @@ type Config struct {
 	Factory RecordFactory
 	// MaxBatch caps the shared-scan query batch size.
 	MaxBatch int
-	// Rules is the replicated Business Rule set evaluated per event.
+	// Rules is the replicated Business Rule set evaluated per event by
+	// Algorithm 2 (the Fabret-style index pays off only past ~1000 rules,
+	// §4.4; the workload runs 300).
 	Rules []rules.Rule
-	// UseRuleIndex selects the Fabret-style rule index over Algorithm 2.
-	UseRuleIndex bool
 	// OnFiring receives rule firings (the action sink); may be nil. It is
 	// called from ESP goroutines and must be cheap and thread-safe.
 	OnFiring func(rules.Firing)
@@ -96,7 +96,7 @@ func (c *Config) setDefaults() error {
 	if c.ESPQueueLen <= 0 {
 		c.ESPQueueLen = 4096
 	}
-	c.Overload.setDefaults(c.ESPQueueLen, 4*c.MaxBatch)
+	c.Overload.setDefaults(4 * c.MaxBatch)
 	c.Tier.setDefaults()
 	return nil
 }
@@ -196,7 +196,7 @@ func NewNode(cfg Config) (*StorageNode, error) {
 	for i := 0; i < cfg.ESPThreads; i++ {
 		w := newESPWorker(n, cfg.ESPQueueLen)
 		if len(cfg.Rules) > 0 {
-			eng, err := rules.NewEngine(cfg.Schema, cfg.Rules, cfg.UseRuleIndex)
+			eng, err := rules.NewEngine(cfg.Schema, cfg.Rules, false)
 			if err != nil {
 				return nil, err
 			}

@@ -62,12 +62,10 @@ func RetryAfterHint(err error) (d time.Duration, ok bool) {
 //     watermark) does ingest itself reject, with a typed retry-after
 //     hint instead of head-of-line blocking.
 type OverloadConfig struct {
-	// Enabled turns admission control on. Off by default.
-	Enabled bool
-	// ESPQueueSoftLimit rejects fire-and-forget ingest when the target
-	// worker's queue holds at least this many requests. Default: 7/8 of
+	// Enabled turns admission control on. Off by default. Fire-and-forget
+	// ingest then rejects when the target worker's queue holds 7/8 of
 	// ESPQueueLen, leaving headroom so admitted events still never block.
-	ESPQueueSoftLimit int
+	Enabled bool
 	// DeltaSoftRecords is the per-partition delta size past which the scan
 	// coordinator prioritizes merging (shorter rounds, smaller batches).
 	// Default: 32768 records.
@@ -83,13 +81,7 @@ type OverloadConfig struct {
 	MaxPendingQueries int
 }
 
-func (c *OverloadConfig) setDefaults(queueLen, submitCap int) {
-	if c.ESPQueueSoftLimit <= 0 || c.ESPQueueSoftLimit > queueLen {
-		c.ESPQueueSoftLimit = queueLen - queueLen/8
-		if c.ESPQueueSoftLimit < 1 {
-			c.ESPQueueSoftLimit = 1
-		}
-	}
+func (c *OverloadConfig) setDefaults(submitCap int) {
 	if c.DeltaSoftRecords <= 0 {
 		c.DeltaSoftRecords = 32768
 	}
@@ -157,7 +149,7 @@ func (n *StorageNode) admitEvent(entityID uint64) error {
 	if !ol.Enabled {
 		return nil
 	}
-	if len(n.workers[n.workerIndexFor(entityID)].ch) >= ol.ESPQueueSoftLimit {
+	if q := n.cfg.ESPQueueLen; len(n.workers[n.workerIndexFor(entityID)].ch) >= q-q/8 {
 		return n.rejectIngest("esp-queue")
 	}
 	if n.partitionFor(entityID).PendingDelta() >= int64(ol.DeltaHardRecords) {

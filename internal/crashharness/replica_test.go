@@ -127,10 +127,10 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 		follower := repl.NewFollower(fnode, 0, repl.FollowerConfig{
 			ReopenBackoff: 2 * time.Millisecond,
 			Reopen: func(from uint64) (repl.Source, error) {
-				return netproto.DialReplica(srv.addr, from, netproto.ReplicaConfig{})
+				return netproto.DialReplica(srv.addr, from)
 			},
 		})
-		src, err := netproto.DialReplica(srv.addr, 0, netproto.ReplicaConfig{})
+		src, err := netproto.DialReplica(srv.addr, 0)
 		if err != nil {
 			t.Fatalf("iter %d: subscribe: %v", iter, err)
 		}

@@ -84,7 +84,7 @@ func Dial(addr string, sch *schema.Schema) (*Client, error) {
 // eager: an unreachable server fails here, not on first use.
 func DialConfig(addr string, sch *schema.Schema, cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
-	conn, err := cfg.Dialer(addr, cfg.DialTimeout)
+	conn, err := cfg.Dialer(addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +279,7 @@ func (c *Client) ensureConn() (net.Conn, uint64, error) {
 		time.Sleep(wait)
 	}
 
-	conn, err := c.cfg.Dialer(c.addr, c.cfg.DialTimeout)
+	conn, err := c.cfg.Dialer(c.addr, dialTimeout)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

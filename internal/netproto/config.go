@@ -13,8 +13,8 @@ import (
 const (
 	// DefaultCallTimeout bounds one synchronous RPC round trip.
 	DefaultCallTimeout = 10 * time.Second
-	// DefaultDialTimeout bounds connection establishment (and redials).
-	DefaultDialTimeout = 3 * time.Second
+	// dialTimeout bounds connection establishment (and redials).
+	dialTimeout = 3 * time.Second
 	// DefaultMaxRetries is the extra attempts idempotent ops get after a
 	// transport failure.
 	DefaultMaxRetries = 2
@@ -37,9 +37,6 @@ type ClientConfig struct {
 	// responses). 0 selects DefaultCallTimeout; negative disables the
 	// timeout entirely.
 	CallTimeout time.Duration
-	// DialTimeout bounds the initial dial and every reconnect attempt.
-	// 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
 	// MaxRetries is how many additional attempts idempotent operations
 	// (Get, SubmitQuery, FlushEvents) make after a transport-level failure.
 	// 0 selects DefaultMaxRetries; negative disables retries.
@@ -75,9 +72,6 @@ type ClientConfig struct {
 func (cfg ClientConfig) withDefaults() ClientConfig {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = DefaultCallTimeout
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = DefaultDialTimeout
 	}
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = DefaultMaxRetries

@@ -15,7 +15,7 @@ var ErrInjectedFault = errors.New("netproto: injected fault")
 // connections: every conn wrapped by (or dialed through) the plan consults
 // it on each Read/Write, so a test can flip faults on and off mid-flight.
 // It simulates the failure modes a TCP storage fabric actually exhibits —
-// slow links (delays), dead servers (dial refusal), crashed connections
+// slow links (read delays), dead servers (dial refusal), crashed connections
 // (resets), and half-written frames (partial writes) — against the real
 // client/server stack.
 //
@@ -23,8 +23,6 @@ var ErrInjectedFault = errors.New("netproto: injected fault")
 type FaultPlan struct {
 	mu            sync.Mutex
 	readDelay     time.Duration
-	writeDelay    time.Duration
-	dropWrites    bool
 	failDial      bool
 	resetEvery    int // close the conn on every Nth write (0 = off)
 	writesLeft    int
@@ -74,13 +72,6 @@ func (p *FaultPlan) Dialer() func(addr string, timeout time.Duration) (net.Conn,
 // SetReadDelay stalls every Read by d (0 = off).
 func (p *FaultPlan) SetReadDelay(d time.Duration) { p.mu.Lock(); p.readDelay = d; p.mu.Unlock() }
 
-// SetWriteDelay stalls every Write by d (0 = off).
-func (p *FaultPlan) SetWriteDelay(d time.Duration) { p.mu.Lock(); p.writeDelay = d; p.mu.Unlock() }
-
-// SetDropWrites makes writes report success without sending anything —
-// a black-holed link.
-func (p *FaultPlan) SetDropWrites(v bool) { p.mu.Lock(); p.dropWrites = v; p.mu.Unlock() }
-
 // SetFailDial makes the plan's Dialer refuse connections — a dead server.
 func (p *FaultPlan) SetFailDial(v bool) { p.mu.Lock(); p.failDial = v; p.mu.Unlock() }
 
@@ -115,8 +106,8 @@ func (p *FaultPlan) ResetAll() {
 // Heal clears every configured fault (live conns stay up).
 func (p *FaultPlan) Heal() {
 	p.mu.Lock()
-	p.readDelay, p.writeDelay = 0, 0
-	p.dropWrites, p.failDial, p.partialWrites = false, false, false
+	p.readDelay = 0
+	p.failDial, p.partialWrites = false, false
 	p.resetEvery, p.writesLeft = 0, 0
 	p.mu.Unlock()
 }
@@ -144,8 +135,6 @@ func (p *FaultPlan) remove(fc *faultConn) {
 // writeAction is the fault decision for one Write, snapshotted under the
 // plan lock so the IO itself runs unlocked.
 type writeAction struct {
-	delay   time.Duration
-	drop    bool
 	reset   bool
 	partial bool
 }
@@ -153,7 +142,7 @@ type writeAction struct {
 func (p *FaultPlan) nextWrite() writeAction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a := writeAction{delay: p.writeDelay, drop: p.dropWrites, partial: p.partialWrites}
+	a := writeAction{partial: p.partialWrites}
 	if p.resetEvery > 0 {
 		p.writesLeft--
 		if p.writesLeft <= 0 {
@@ -161,7 +150,7 @@ func (p *FaultPlan) nextWrite() writeAction {
 			a.reset = true
 		}
 	}
-	if a.drop || a.reset || a.partial {
+	if a.reset || a.partial {
 		p.injected++
 	}
 	return a
@@ -186,9 +175,6 @@ func (f *faultConn) Read(b []byte) (int, error) {
 
 func (f *faultConn) Write(b []byte) (int, error) {
 	a := f.plan.nextWrite()
-	if a.delay > 0 {
-		time.Sleep(a.delay)
-	}
 	switch {
 	case a.reset:
 		// Close before writing: the peer sees every prior frame intact,
@@ -199,8 +185,6 @@ func (f *faultConn) Write(b []byte) (int, error) {
 		n, _ := f.Conn.Write(b[:len(b)/2])
 		f.Close()
 		return n, errors.Join(ErrInjectedFault, errors.New("partial write"))
-	case a.drop:
-		return len(b), nil
 	}
 	return f.Conn.Write(b)
 }

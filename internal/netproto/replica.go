@@ -11,26 +11,10 @@ import (
 	"repro/internal/repl"
 )
 
-// ReplicaConfig tunes the subscriber end of the log-shipping stream. The
-// zero value selects the defaults.
-type ReplicaConfig struct {
-	// DialTimeout bounds the connect (default DefaultDialTimeout).
-	DialTimeout time.Duration
-	// ReadTimeout bounds how long Next waits for the next frame. It must
-	// exceed the server's heartbeat interval, or a healthy-but-quiet
-	// primary looks dead; default 2s against the 25ms default heartbeat.
-	ReadTimeout time.Duration
-}
-
-func (cfg ReplicaConfig) withDefaults() ReplicaConfig {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 2 * time.Second
-	}
-	return cfg
-}
+// replicaReadTimeout bounds how long a subscriber waits for the next frame.
+// The primary's heartbeat must be shorter (ServeWithConfig enforces it), or
+// a healthy-but-quiet primary looks dead and the follower redials forever.
+const replicaReadTimeout = 2 * time.Second
 
 // ReplicaConn is a dedicated subscription connection carrying the primary's
 // log stream. It implements repl.Source, so a repl.Follower tails a remote
@@ -38,7 +22,6 @@ func (cfg ReplicaConfig) withDefaults() ReplicaConfig {
 type ReplicaConn struct {
 	conn     net.Conn
 	br       *bufio.Reader
-	cfg      ReplicaConfig
 	startLSN uint64
 	frontier uint64
 }
@@ -48,9 +31,8 @@ var _ repl.Source = (*ReplicaConn)(nil)
 // DialReplica opens a log subscription against addr starting at fromLSN.
 // The returned conn's StartLSN may exceed fromLSN when the primary has
 // GC'd that prefix — the follower surfaces that as a typed repl.ErrGap.
-func DialReplica(addr string, fromLSN uint64, cfg ReplicaConfig) (*ReplicaConn, error) {
-	cfg = cfg.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+func DialReplica(addr string, fromLSN uint64) (*ReplicaConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +43,7 @@ func DialReplica(addr string, fromLSN uint64, cfg ReplicaConfig) (*ReplicaConn, 
 		return nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	conn.SetReadDeadline(time.Now().Add(cfg.ReadTimeout))
+	conn.SetReadDeadline(time.Now().Add(replicaReadTimeout))
 	f, err := readFrame(br)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
@@ -84,7 +66,6 @@ func DialReplica(addr string, fromLSN uint64, cfg ReplicaConfig) (*ReplicaConn, 
 	return &ReplicaConn{
 		conn:     conn,
 		br:       br,
-		cfg:      cfg,
 		startLSN: binary.LittleEndian.Uint64(payload[0:]),
 		frontier: binary.LittleEndian.Uint64(payload[8:]),
 	}, nil
@@ -98,10 +79,10 @@ func (r *ReplicaConn) StartLSN() uint64 { return r.startLSN }
 func (r *ReplicaConn) Frontier() uint64 { return r.frontier }
 
 // Next blocks for the next shipped batch or heartbeat. A silent wire for
-// longer than ReadTimeout is an error — heartbeats bound the gap between
-// frames on a healthy stream.
+// longer than replicaReadTimeout is an error — heartbeats bound the gap
+// between frames on a healthy stream.
 func (r *ReplicaConn) Next() (repl.Batch, error) {
-	r.conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
+	r.conn.SetReadDeadline(time.Now().Add(replicaReadTimeout))
 	f, err := readFrame(r.br)
 	r.conn.SetReadDeadline(time.Time{})
 	if err != nil {

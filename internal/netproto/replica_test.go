@@ -74,7 +74,7 @@ func TestReplicaStreamOverTCP(t *testing.T) {
 	}
 	defer fnode.Stop()
 
-	rc, err := DialReplica(srv.Addr(), 0, ReplicaConfig{})
+	rc, err := DialReplica(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +127,14 @@ func TestReplicaResubscribeFromWatermark(t *testing.T) {
 	}
 	defer fnode.Stop()
 
-	rc, err := DialReplica(srv.Addr(), 0, ReplicaConfig{})
+	rc, err := DialReplica(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := repl.NewFollower(fnode, 0, repl.FollowerConfig{
 		ReopenBackoff: time.Millisecond,
 		Reopen: func(fromLSN uint64) (repl.Source, error) {
-			return DialReplica(srv.Addr(), fromLSN, ReplicaConfig{})
+			return DialReplica(srv.Addr(), fromLSN)
 		},
 	})
 	if err := f.Start(rc); err != nil {
@@ -189,7 +189,7 @@ func TestReplicaSubscribeClampsToRetentionFloor(t *testing.T) {
 	if floor == 0 {
 		t.Fatal("truncation removed nothing; test needs a nonzero floor")
 	}
-	rc, err := DialReplica(srv.Addr(), 0, ReplicaConfig{})
+	rc, err := DialReplica(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestReplRPCsWithoutArchive(t *testing.T) {
 		srv.Close()
 		node.Stop()
 	})
-	if _, err := DialReplica(srv.Addr(), 0, ReplicaConfig{}); err == nil {
+	if _, err := DialReplica(srv.Addr(), 0); err == nil {
 		t.Fatal("subscribe against a WAL-less server succeeded")
 	}
 	cli, err := Dial(srv.Addr(), sch)
@@ -271,4 +271,28 @@ func TestReplRPCsWithoutArchive(t *testing.T) {
 	if _, err := cli.Promote(); err == nil {
 		t.Fatal("promote against a server with no OnPromote hook succeeded")
 	}
+}
+
+// TestServeRejectsHeartbeatPastReadTimeout: a subscriber gives up on a
+// stream that stays silent for its 2s read timeout, so a heartbeat that long
+// or longer would turn every quiet stretch into a timeout and a redial. The
+// server refuses such a heartbeat up front instead.
+func TestServeRejectsHeartbeatPastReadTimeout(t *testing.T) {
+	sch := netSchema(t)
+	node, err := core.NewNode(core.Config{Schema: sch, Partitions: 1, BucketSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	for _, hb := range []time.Duration{2 * time.Second, 3 * time.Second} {
+		if srv, err := ServeWithConfig("127.0.0.1:0", node, sch, ServerConfig{ReplHeartbeat: hb}); err == nil {
+			srv.Close()
+			t.Errorf("heartbeat %v accepted", hb)
+		}
+	}
+	srv, err := ServeWithConfig("127.0.0.1:0", node, sch, ServerConfig{ReplHeartbeat: time.Second})
+	if err != nil {
+		t.Fatalf("heartbeat 1s rejected: %v", err)
+	}
+	srv.Close()
 }

@@ -38,10 +38,6 @@ type Server struct {
 
 // ServerConfig tunes server behavior; the zero value is the default.
 type ServerConfig struct {
-	// ConnWrap, when set, wraps every accepted connection. The
-	// fault-injection harness uses it to make a server's links flaky
-	// (drops, delays, resets) without touching the protocol code.
-	ConnWrap func(net.Conn) net.Conn
 	// Metrics, when set, instruments request handling (see
 	// NewServerMetrics). Nil disables instrumentation at zero cost.
 	Metrics *ServerMetrics
@@ -50,7 +46,8 @@ type ServerConfig struct {
 	// normally the served node's own event WAL.
 	ReplArchive *archive.Archive
 	// ReplHeartbeat bounds how long a quiet subscription goes without a
-	// frontier heartbeat (0 selects the repl package default).
+	// frontier heartbeat (0 selects the repl package default). It must be
+	// shorter than the subscriber's 2s read timeout.
 	ReplHeartbeat time.Duration
 	// ReplBatch caps events per shipped msgReplBatch frame (0 = default).
 	ReplBatch int
@@ -67,6 +64,10 @@ func Serve(addr string, node core.Storage, sch *schema.Schema) (*Server, error) 
 
 // ServeWithConfig starts a server with an explicit ServerConfig.
 func ServeWithConfig(addr string, node core.Storage, sch *schema.Schema, cfg ServerConfig) (*Server, error) {
+	if cfg.ReplHeartbeat >= replicaReadTimeout {
+		return nil, fmt.Errorf("netproto: repl heartbeat %v must be shorter than the subscriber read timeout %v",
+			cfg.ReplHeartbeat, replicaReadTimeout)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -113,9 +114,6 @@ func (s *Server) acceptLoop() {
 			default:
 				return // listener failed; nothing more to accept
 			}
-		}
-		if s.cfg.ConnWrap != nil {
-			conn = s.cfg.ConnWrap(conn)
 		}
 		s.mu.Lock()
 		select {

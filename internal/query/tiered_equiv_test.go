@@ -131,17 +131,4 @@ func TestTieredScanMatchesFlat(t *testing.T) {
 	}
 	compare("mixed sequential", run(mixed))
 	compare("mixed batch", runBatch(mixed))
-
-	// Work-stealing shared scan over the cold snapshot: float reductions may
-	// reassociate across workers, so use the epsilon comparison.
-	partials, err := query.ScanShared(sch, dims.Store, cold, queries, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		if !partialsEquivalent(partials[qi], want[qi]) {
-			t.Errorf("ScanShared cold: query %d differs\ngot  %+v\nwant %+v",
-				q.ID, partials[qi], want[qi])
-		}
-	}
 }

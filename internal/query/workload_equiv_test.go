@@ -1,7 +1,6 @@
 package query_test
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -119,59 +118,4 @@ func TestFusedBatchMatchesSequentialWorkload(t *testing.T) {
 			t.Errorf("query %d: finalized result differs", q.ID)
 		}
 	}
-
-	// The same batch through the work-stealing entry point. Work stealing
-	// partitions buckets across workers nondeterministically, so float sums
-	// may differ from the sequential reference by association order (and an
-	// argmax/argmin tie may resolve to a different entity); everything else
-	// must match exactly.
-	partials, err := query.ScanShared(sch, dims.Store, buckets, queries, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		if !partialsEquivalent(partials[qi], want[qi]) {
-			t.Errorf("query %d: ScanShared partial differs from sequential\ngot  %+v\nwant %+v",
-				q.ID, partials[qi], want[qi])
-		}
-	}
-}
-
-// partialsEquivalent compares a parallel partial against the sequential
-// reference, allowing only the differences a reordered float reduction can
-// legitimately produce: sums within relative epsilon, and differing
-// argmax/argmin winners when their values tie exactly.
-func partialsEquivalent(got, want *query.Partial) bool {
-	if got.QueryID != want.QueryID || got.NumAggs != want.NumAggs ||
-		len(got.Groups) != len(want.Groups) {
-		return false
-	}
-	const rel = 1e-9
-	feq := func(x, y float64) bool {
-		if x == y {
-			return true
-		}
-		d := math.Abs(x - y)
-		return d <= rel*math.Max(math.Abs(x), math.Abs(y))
-	}
-	for key, wc := range want.Groups {
-		gc, ok := got.Groups[key]
-		if !ok || len(gc) != len(wc) {
-			return false
-		}
-		for i := range wc {
-			g, w := gc[i], wc[i]
-			if g.Count != w.Count || g.Min != w.Min || g.Max != w.Max ||
-				g.ArgSet != w.ArgSet || g.ArgVal != w.ArgVal {
-				return false
-			}
-			if !feq(g.Sum, w.Sum) {
-				return false
-			}
-			// Equal ArgVal with different ArgKey is a tie between entities;
-			// either winner is a correct argmax/argmin.
-			_ = g.ArgKey
-		}
-	}
-	return true
 }

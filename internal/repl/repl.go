@@ -53,13 +53,14 @@ type Source interface {
 	Close() error
 }
 
+// archivePoll is how often an idle ArchiveSource re-checks the archive.
+const archivePoll = time.Millisecond
+
 // ArchiveSourceConfig tunes an ArchiveSource. The zero value selects the
 // defaults.
 type ArchiveSourceConfig struct {
 	// MaxEvents bounds one batch (default 512).
 	MaxEvents int
-	// Poll is the idle re-check interval (default 1ms).
-	Poll time.Duration
 	// Heartbeat bounds how long Next blocks without news (default 25ms).
 	Heartbeat time.Duration
 }
@@ -67,9 +68,6 @@ type ArchiveSourceConfig struct {
 func (cfg ArchiveSourceConfig) withDefaults() ArchiveSourceConfig {
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 512
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = time.Millisecond
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 25 * time.Millisecond
@@ -118,7 +116,7 @@ func (s *ArchiveSource) Next() (Batch, error) {
 		select {
 		case <-s.quit:
 			return Batch{}, ErrSourceClosed
-		case <-time.After(s.cfg.Poll):
+		case <-time.After(archivePoll):
 		}
 	}
 }
