@@ -10,9 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detect the concurrent scan/merge paths
+## race: race-detect the concurrent scan/merge paths and the tiered main
 race:
-	$(GO) test -race ./internal/core/... ./internal/query/...
+	$(GO) test -race ./internal/core/... ./internal/query/... ./internal/columnmap/...
 
 ## bench: fused shared-scan batch microbenchmark (single vs naive vs fused)
 bench:

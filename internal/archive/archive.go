@@ -405,36 +405,6 @@ func (a *Archive) Report() RecoveryReport {
 	return a.report
 }
 
-// Append logs one event and returns its LSN.
-func (a *Archive) Append(ev *event.Event) (uint64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.active == nil || a.active.n >= a.segmentCap {
-		if err := a.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	lsn := a.nextLSN
-	var buf [frameSizeV2]byte
-	binary.LittleEndian.PutUint64(buf[:], lsn)
-	ev.Encode(buf[8:])
-	binary.LittleEndian.PutUint32(buf[crcOffset:], crc32.Checksum(buf[:crcOffset], castagnoli))
-	if err := a.writeFrame(buf[:]); err != nil {
-		return 0, fmt.Errorf("archive: append: %w", err)
-	}
-	a.met.appendBytes.Add(frameSizeV2)
-	if a.syncOnWrite {
-		crashpoint.Hit(crashpoint.ArchiveAppendBeforeSync)
-		if err := a.syncFile(a.active.file); err != nil {
-			return 0, fmt.Errorf("archive: sync: %w", err)
-		}
-	}
-	a.active.byEntity[ev.Caller] = append(a.active.byEntity[ev.Caller], int32(a.active.n))
-	a.active.n++
-	a.nextLSN++
-	return lsn, nil
-}
-
 // AppendBatch logs a batch of events as one group append — one buffered
 // write per touched segment (batches split across a rotation) plus at most
 // one fsync when SyncOnWrite — and returns the LSN of the first event plus
@@ -442,15 +412,15 @@ func (a *Archive) Append(ev *event.Event) (uint64, error) {
 // (the write succeeded and, when SyncOnWrite, the frames landed on an
 // fsynced segment). On error callers must re-log only evs[appended:]:
 // re-logging the appended prefix would duplicate it in the WAL, and a
-// crash-recovery replay would then apply those events twice. As with a
-// single Append whose write succeeded but whose sync failed, frames beyond
-// the reported prefix may still survive a lucky crash — that residual
-// at-most-one-write window is unchanged from the per-event path.
+// crash-recovery replay would then apply those events twice. Frames written
+// beyond the reported prefix whose sync failed may still survive a lucky
+// crash; LSNs advance before the sync, so they never collide with the next
+// append's.
 //
-// Per-event durability semantics are preserved: every event still gets its
-// own CRC-framed slot and consecutive LSN, so a crash mid-group tears at
-// most the trailing frame of the write and Salvage recovery truncates to a
-// whole-event boundary exactly as it does for single appends.
+// AppendBatch is the archive's only append path; a lone event is a batch of
+// one. Every event gets its own CRC-framed slot and consecutive LSN, so a
+// crash mid-group tears at most the trailing frame of the write and Salvage
+// recovery truncates to a whole-event boundary.
 func (a *Archive) AppendBatch(evs []event.Event) (uint64, int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -494,10 +464,9 @@ func (a *Archive) AppendBatch(evs []event.Event) (uint64, int, error) {
 }
 
 // appendedCount converts a group append's write/sync progress into the
-// prefix length AppendBatch reports on error: without SyncOnWrite a
-// successful write is exactly as durable as a successful single Append; with
-// it only events whose segment was already sealed have been fsynced when the
-// batch aborts early.
+// prefix length AppendBatch reports on error: without SyncOnWrite every
+// written frame counts; with it only events whose segment was already sealed
+// have been fsynced when the batch aborts early.
 func (a *Archive) appendedCount(written, synced int) int {
 	if a.syncOnWrite {
 		return synced
@@ -637,7 +606,7 @@ func (a *Archive) Close() error {
 	return nil
 }
 
-// NextLSN returns the LSN the next Append will get.
+// NextLSN returns the LSN the next appended event will get.
 func (a *Archive) NextLSN() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

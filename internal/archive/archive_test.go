@@ -22,7 +22,7 @@ func TestAppendAssignsSequentialLSNs(t *testing.T) {
 	defer a.Close()
 	for i := 0; i < 100; i++ {
 		ev := mkEvent(uint64(i%7)+1, int64(i), 10, 1, false)
-		lsn, err := a.Append(&ev)
+		lsn, _, err := a.AppendBatch([]event.Event{ev})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestReplayFromWatermark(t *testing.T) {
 	defer a.Close()
 	for i := 0; i < 50; i++ {
 		ev := mkEvent(1, int64(i), int64(i), 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestReopenRecoversStateAndKeepsAppending(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		ev := mkEvent(uint64(i%3)+1, int64(i), 10, 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestReopenRecoversStateAndKeepsAppending(t *testing.T) {
 		t.Fatalf("after reopen Len=%d NextLSN=%d", b.Len(), b.NextLSN())
 	}
 	ev := mkEvent(9, 100, 10, 1, false)
-	lsn, err := b.Append(&ev)
+	lsn, _, err := b.AppendBatch([]event.Event{ev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTornTailStrictVsSalvage(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		ev := mkEvent(1, int64(i), 10, 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestTornTailStrictVsSalvage(t *testing.T) {
 	}
 	// The archive accepts new appends and LSNs stay dense.
 	ev := mkEvent(2, 9, 10, 1, false)
-	lsn, err := b.Append(&ev)
+	lsn, _, err := b.AppendBatch([]event.Event{ev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestBitFlipDetectedByFrameCRC(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		ev := mkEvent(uint64(i)+1, int64(i), 10, 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestSalvageQuarantinesUnreachableSegments(t *testing.T) {
 	}
 	for i := 0; i < 24; i++ { // 3 segments
 		ev := mkEvent(1, int64(i), int64(i), 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestSalvageQuarantinesUnreachableSegments(t *testing.T) {
 		t.Fatalf("replayed %d", n)
 	}
 	ev := mkEvent(1, 99, 1, 1, false)
-	if lsn, err := s.Append(&ev); err != nil || lsn != 8 {
+	if lsn, _, err := s.AppendBatch([]event.Event{ev}); err != nil || lsn != 8 {
 		t.Fatalf("append after salvage: lsn=%d err=%v", lsn, err)
 	}
 }
@@ -287,7 +287,7 @@ func TestLegacyV1SegmentsStillReadable(t *testing.T) {
 	// Appending does NOT extend the v1 file: a fresh v2 segment is rotated
 	// in so formats never mix within one file.
 	ev := mkEvent(5, 1000, 9, 1, false)
-	lsn, err := a.Append(&ev)
+	lsn, _, err := a.AppendBatch([]event.Event{ev})
 	if err != nil || lsn != 6 {
 		t.Fatalf("append after v1: lsn=%d err=%v", lsn, err)
 	}
@@ -320,7 +320,7 @@ func TestTruncateBelowKeepsTailAndLSNs(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ { // 5 segments
 		ev := mkEvent(1, int64(i), int64(i), 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +372,7 @@ func TestEntityHistory(t *testing.T) {
 	defer a.Close()
 	for i := 0; i < 20; i++ {
 		ev := mkEvent(uint64(i%2)+1, int64(i*100), int64(i), 1, i%4 == 0)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,7 +421,7 @@ func TestExactWindowVsApproximateSliding(t *testing.T) {
 	for i, d := range durs {
 		ts := base + int64(i)*sub // one event per sub-window: first falls out
 		ev := mkEvent(1, ts, d, 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 		sch.Apply(rec, &ev)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestAppendBatchMatchesPerEventAppend checks a group append is
-// indistinguishable from per-event appends on replay: same dense LSNs, same
+// indistinguishable from per-event appends (batches of one) on replay: same dense LSNs, same
 // events, same per-entity index, including when the batch spans a segment
 // rotation.
 func TestAppendBatchMatchesPerEventAppend(t *testing.T) {
@@ -40,7 +40,7 @@ func TestAppendBatchMatchesPerEventAppend(t *testing.T) {
 		t.Fatalf("first LSN = %d appended = %d, want 0 and %d", first, appended, len(evs))
 	}
 	for i := range evs {
-		lsn, err := b.Append(&evs[i])
+		lsn, _, err := b.AppendBatch(evs[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestAppendBatchMatchesPerEventAppend(t *testing.T) {
 }
 
 // TestAppendBatchEmptyAndSingle covers the degenerate batch sizes: an empty
-// batch is a no-op and a 1-event batch behaves exactly like Append.
+// batch is a no-op and a 1-event batch logs exactly one frame.
 func TestAppendBatchEmptyAndSingle(t *testing.T) {
 	a, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -201,7 +201,7 @@ func TestTornGroupAppendSalvages(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := b.Append(&evs[len(evs)-1])
+	lsn, _, err := b.AppendBatch(evs[len(evs)-1:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func fuzzSeedSegment(f *testing.F, events int) []byte {
 	}
 	for i := 0; i < events; i++ {
 		ev := event.Event{Caller: uint64(i + 1), Timestamp: int64(i), Cost: 0.5}
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func FuzzOpenSegment(f *testing.F) {
 			}
 			// The archive must stay appendable after any recovery outcome.
 			ev := event.Event{Caller: 99}
-			if _, err := a.Append(&ev); err != nil {
+			if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 				t.Fatalf("append after %v recovery: %v", mode, err)
 			}
 			if err := a.Close(); err != nil {

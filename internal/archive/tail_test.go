@@ -29,7 +29,7 @@ func TestReadFromTailsAcrossLiveRotation(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
 			ev := mkEvent(uint64(i%5)+1, int64(i), int64(i), 1, false)
-			if _, err := a.Append(&ev); err != nil {
+			if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
 			}
@@ -82,7 +82,7 @@ func TestReplayTailsAcrossLiveRotation(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
 			ev := mkEvent(1, int64(i), int64(i), 1, false)
-			if _, err := a.Append(&ev); err != nil {
+			if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
 			}
@@ -132,7 +132,7 @@ func TestReadFromStopsCleanlyAtSalvagedTornTail(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		ev := mkEvent(1, int64(i), int64(i), 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestReadFromStopsCleanlyAtSalvagedTornTail(t *testing.T) {
 
 	// The log keeps going after salvage; the tail picks the new events up.
 	ev := mkEvent(2, 100, 100, 1, false)
-	if _, err := a.Append(&ev); err != nil {
+	if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 		t.Fatal(err)
 	}
 	evs, frontier, err := a.ReadFrom(cursor, 8)
@@ -205,7 +205,7 @@ func TestReadFromBelowRetentionFloor(t *testing.T) {
 	defer a.Close()
 	for i := 0; i < 12; i++ {
 		ev := mkEvent(1, int64(i), int64(i), 1, false)
-		if _, err := a.Append(&ev); err != nil {
+		if _, _, err := a.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -166,9 +166,6 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-// NumNodes returns the number of storage servers.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // Nodes returns the current storage handles (for the RTA coordinator).
 func (c *Cluster) Nodes() []core.Storage {
 	out := make([]core.Storage, len(c.nodes))

@@ -29,12 +29,6 @@ type FrozenBucket struct {
 // Chunk returns column c's compressed chunk.
 func (fb *FrozenBucket) Chunk(c int) *vec.Chunk { return &fb.chunks[c] }
 
-// NumRecords returns the record count.
-func (fb *FrozenBucket) NumRecords() int { return fb.n }
-
-// CompressedBytes returns the compressed payload size.
-func (fb *FrozenBucket) CompressedBytes() int64 { return fb.bytes }
-
 // Value returns record off's value in column c (random access).
 func (fb *FrozenBucket) Value(c, off int) uint64 {
 	return vec.ChunkValue(&fb.chunks[c], off)

@@ -187,7 +187,12 @@ func TestTierColdAfterPolicy(t *testing.T) {
 
 // TestTierConcurrentReaders freezes and thaws under a storm of concurrent
 // Gather/Value/Snapshot readers — the Algorithm 3 analogue for tier swaps;
-// run under -race this proves the directory handoff is sound.
+// run under -race this proves the directory handoff is sound. It keeps the
+// package's concurrency contract: readers never read a record the writer is
+// upserting (in the engine the delta shadows those), so the writer touches
+// only even entities and readers gather only odd ones. Both share every
+// bucket, so each freeze and thaw still swaps a representation under live
+// readers.
 func TestTierConcurrentReaders(t *testing.T) {
 	const slots, bucketSize, entities = 5, 32, 256
 	cm := New(slots, bucketSize)
@@ -212,7 +217,7 @@ func TestTierConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				e := uint64(rr.Intn(entities) + 1)
+				e := uint64(2*rr.Intn(entities/2) + 1) // odd: never written
 				if ok, err := cm.GatherEntity(e, dst); err != nil || !ok || dst[0] != e {
 					t.Errorf("gather %d: ok=%v err=%v id=%d", e, ok, err, dst[0])
 					return
@@ -230,7 +235,7 @@ func TestTierConcurrentReaders(t *testing.T) {
 	// Writer thread: upserts age/thaw buckets while epochs tick and freeze.
 	for round := 0; round < 60; round++ {
 		for j := 0; j < 20; j++ {
-			e := uint64(r.Intn(entities) + 1)
+			e := uint64(2*r.Intn(entities/2) + 2) // even: never gathered
 			rec := mkTierRec(e, slots, r)
 			if err := cm.Upsert(rec); err != nil {
 				t.Fatal(err)

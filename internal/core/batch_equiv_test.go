@@ -17,6 +17,10 @@ import (
 // version slot, whose intermediate stamps legitimately differ), identical
 // rule-firing counts (rules are evaluated per event against the
 // intermediate record either way), and byte-identical archive contents.
+// The "per-event" side is ProcessEventAsync, whose lone events take the
+// same batched path as runs of one, so this pins that batch and run length
+// leave no trace; the eager-apply reference is schema's split-phase
+// equivalence tests (TestSplitPhaseMatchesSeedPerEvent and friends).
 func TestBatchedIngestMatchesPerEvent(t *testing.T) {
 	sch := testSchema(t)
 	calls := sch.MustAttrIndex("calls_today_count")

@@ -20,7 +20,7 @@ import (
 // Correctness hangs on two orderings:
 //
 //  1. Producers make archive-append + worker-enqueue atomic under
-//     ingestMu.RLock (see StorageNode.submitEvent).
+//     ingestMu.RLock (see StorageNode.ingest).
 //  2. The checkpointer takes ingestMu.Lock, reads the next LSN as the
 //     watermark W, and enqueues one capture barrier per ESP worker before
 //     unlocking. Worker queues are FIFO, so when a barrier runs, its worker
@@ -330,7 +330,7 @@ func RestoreWithReport(cfg Config, mgr *checkpoint.Manager, mode checkpoint.Load
 			rep.TailEvents++
 			batch = append(batch, ev)
 			if len(batch) == replayBatch {
-				n.enqueueBatch(batch)
+				n.enqueueBatch(batch, nil)
 				batch = make([]event.Event, 0, replayBatch)
 			}
 			return nil
@@ -340,7 +340,7 @@ func RestoreWithReport(cfg Config, mgr *checkpoint.Manager, mode checkpoint.Load
 			return nil, rep, err
 		}
 		if len(batch) > 0 {
-			n.enqueueBatch(batch)
+			n.enqueueBatch(batch, nil)
 		}
 	}
 	if err := n.FlushEvents(); err != nil {

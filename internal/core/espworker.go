@@ -11,9 +11,8 @@ import (
 
 // Request kinds handled by the ESP service loop.
 const (
-	kindKick uint8 = iota // wake-up for a flag check, no work
-	kindEvent
-	kindBatch // evs: a batch of events for this worker's partitions
+	kindKick  uint8 = iota // wake-up for a flag check, no work
+	kindBatch              // evs: events for this worker's partitions (a lone event is a batch of one)
 	kindGet
 	kindPut
 	kindCondPut
@@ -23,7 +22,6 @@ const (
 
 type espRequest struct {
 	kind    uint8
-	ev      event.Event
 	evs     []event.Event // kindBatch payload; owned by the worker
 	entity  uint64
 	rec     schema.Record
@@ -37,7 +35,7 @@ type espResponse struct {
 	version uint64
 	found   bool
 	err     error
-	firings int
+	firings int // kindBatch: rule firings the batch caused
 }
 
 // espWorker is one ESP thread of a storage node (§4.8): the single writer
@@ -53,8 +51,8 @@ type espWorker struct {
 	// computed once at engine construction; it scopes lazy materialization
 	// on the batched apply path.
 	ruleGroups *schema.GroupSet
-	stop   chan struct{}
-	done   chan struct{}
+	stop       chan struct{}
+	done       chan struct{}
 	// nEvents is the worker-local event count used to sample per-event
 	// latency observation 1-in-16 — frequent enough for stable histograms,
 	// cheap enough to leave ingest throughput unchanged.
@@ -121,17 +119,16 @@ func (w *espWorker) checkSwitches() {
 	}
 }
 
-// handleBatch applies a batch of events. The batch is stable-sorted by
-// caller — same-caller order is preserved, and cross-caller order within
-// a batch is free to change because an event only ever touches its own
-// caller's record — then applied one consecutive same-caller run at a
-// time, so a run pays the partition Get/Put once. Delta-switch flags are
-// rechecked between runs to keep the RTA thread's park latency bounded by
-// one run rather than one batch.
-func (w *espWorker) handleBatch(evs []event.Event) {
-	if len(evs) == 0 {
-		return
-	}
+// handleBatch applies a batch of events and returns the rule firings it
+// caused. The batch is stable-sorted by caller — same-caller order is
+// preserved, and cross-caller order within a batch is free to change
+// because an event only ever touches its own caller's record — then applied
+// one consecutive same-caller run at a time, so a run pays the partition
+// Get/Put once. Delta-switch flags are rechecked between runs to keep the
+// RTA thread's park latency bounded by one run rather than one batch, but
+// not after the last: the service loop checks before its next request, so
+// a waiting synchronous caller is answered before the ESP thread parks.
+func (w *espWorker) handleBatch(evs []event.Event) int {
 	slices.SortStableFunc(evs, func(a, b event.Event) int {
 		switch {
 		case a.Caller < b.Caller:
@@ -141,21 +138,27 @@ func (w *espWorker) handleBatch(evs []event.Event) {
 		}
 		return 0
 	})
+	nf := 0
 	for i := 0; i < len(evs); {
+		if i > 0 {
+			w.checkSwitches()
+		}
 		j := i + 1
 		for j < len(evs) && evs[j].Caller == evs[i].Caller {
 			j++
 		}
-		w.applyRun(evs[i:j])
+		nf += w.applyRun(evs[i:j])
 		i = j
-		w.checkSwitches()
 	}
+	return nf
 }
 
-// applyRun applies one same-caller run through Partition.ApplyEventBatch,
-// evaluating rules per event against the intermediate record so firing
-// semantics match the per-event path exactly.
-func (w *espWorker) applyRun(run []event.Event) {
+// applyRun applies one same-caller run through Partition.ApplyEventBatch
+// (UPDATE_MATRIX, Algorithm 1), evaluating rules per event against the
+// intermediate record (Algorithm 2), and returns the firings. A run that
+// starts on a 16th event is sampled: it observes its per-event mean apply
+// cost (rule time excluded) and its per-event mean rule-evaluation cost.
+func (w *espWorker) applyRun(run []event.Event) int {
 	p := w.node.partitionFor(run[0].Caller)
 	sample := w.nEvents%latencySampleEvery == 0
 	w.nEvents += uint64(len(run))
@@ -164,10 +167,18 @@ func (w *espWorker) applyRun(run []event.Event) {
 		t0 = time.Now()
 	}
 	nf := 0
+	var ruleTime time.Duration
 	var onApply func(ev *event.Event, rec schema.Record)
 	if w.engine != nil {
 		onApply = func(ev *event.Event, rec schema.Record) {
+			var r0 time.Time
+			if sample {
+				r0 = time.Now()
+			}
 			firings := w.engine.Evaluate(ev, rec)
+			if sample {
+				ruleTime += time.Since(r0)
+			}
 			nf += len(firings)
 			if w.node.cfg.OnFiring != nil {
 				for _, f := range firings {
@@ -178,8 +189,11 @@ func (w *espWorker) applyRun(run []event.Event) {
 	}
 	p.ApplyEventBatch(run, w.ruleGroups, onApply)
 	if sample {
-		// Amortized per-event cost: the run shares one Get and one Put.
-		w.node.met.eventApply.ObserveDuration(time.Since(t0) / time.Duration(len(run)))
+		n := time.Duration(len(run))
+		w.node.met.eventApply.ObserveDuration((time.Since(t0) - ruleTime) / n)
+		if w.engine != nil {
+			w.node.met.ruleEval.ObserveDuration(ruleTime / n)
+		}
 	}
 	if w.engine != nil {
 		w.node.met.firings.Add(uint64(nf))
@@ -188,50 +202,17 @@ func (w *espWorker) applyRun(run []event.Event) {
 	if len(run) > 1 {
 		w.node.met.coalescedPuts.Add(uint64(len(run) - 1))
 	}
+	return nf
 }
 
 func (w *espWorker) handle(req espRequest) {
 	switch req.kind {
 	case kindKick:
 		// flag check already happened
-	case kindEvent:
-		p := w.node.partitionFor(req.ev.Caller)
-		sample := w.nEvents%latencySampleEvery == 0
-		w.nEvents++
-		var t0 time.Time
-		if sample {
-			t0 = time.Now()
-		}
-		rec := p.ApplyEvent(&req.ev)
-		if sample {
-			w.node.met.eventApply.ObserveSince(t0)
-		}
-		nf := 0
-		if w.engine != nil {
-			var r0 time.Time
-			if sample {
-				r0 = time.Now()
-			}
-			firings := w.engine.Evaluate(&req.ev, rec)
-			if sample {
-				w.node.met.ruleEval.ObserveSince(r0)
-			}
-			nf = len(firings)
-			if w.node.cfg.OnFiring != nil {
-				for _, f := range firings {
-					w.node.cfg.OnFiring(f)
-				}
-			}
-			w.node.met.firings.Add(uint64(nf))
-		}
-		w.node.met.events.Inc()
+	case kindBatch:
+		nf := w.handleBatch(req.evs)
 		if req.resp != nil {
 			req.resp <- espResponse{firings: nf, found: true}
-		}
-	case kindBatch:
-		w.handleBatch(req.evs)
-		if req.resp != nil {
-			req.resp <- espResponse{found: true}
 		}
 	case kindGet:
 		p := w.node.partitionFor(req.entity)

@@ -258,6 +258,10 @@ func (n *StorageNode) workerForEntity(entityID uint64) *espWorker {
 }
 
 // --- ESP-facing API ---------------------------------------------------------
+//
+// Every ingest entry point funnels into ingest: a lone event is a batch of
+// one, exactly as it is on the wire, so one admission → WAL group append →
+// kindBatch → applyRun path serves all of them.
 
 // ProcessEventAsync enqueues an event for processing. Without overload
 // protection it blocks only when the responsible ESP queue is full
@@ -271,38 +275,22 @@ func (n *StorageNode) ProcessEventAsync(ev event.Event) error {
 	if err := n.admitEvent(ev.Caller); err != nil {
 		return err
 	}
-	return n.submitEvent(ev, nil)
+	return n.ingest([]event.Event{ev}, nil)
 }
 
 // ProcessEvent processes an event synchronously and returns the number of
-// rule firings it caused.
+// rule firings it caused. It skips admission, which gates fire-and-forget
+// ingest only: a sync caller already waits on the ESP thread.
 func (n *StorageNode) ProcessEvent(ev event.Event) (int, error) {
 	if n.stopped.Load() {
 		return 0, ErrStopped
 	}
 	resp := make(chan espResponse, 1)
-	if err := n.submitEvent(ev, resp); err != nil {
+	if err := n.ingest([]event.Event{ev}, resp); err != nil {
 		return 0, err
 	}
 	r := <-resp
 	return r.firings, r.err
-}
-
-// submitEvent archives (when configured) and enqueues one event. With an
-// archive, append + enqueue happen under ingestMu's read side so the pair
-// is atomic with respect to the fuzzy-checkpoint watermark pin.
-func (n *StorageNode) submitEvent(ev event.Event, resp chan espResponse) error {
-	if n.cfg.Archive == nil {
-		n.workerForEntity(ev.Caller).ch <- espRequest{kind: kindEvent, ev: ev, resp: resp}
-		return nil
-	}
-	n.ingestMu.RLock()
-	defer n.ingestMu.RUnlock()
-	if _, err := n.cfg.Archive.Append(&ev); err != nil {
-		return err
-	}
-	n.workerForEntity(ev.Caller).ch <- espRequest{kind: kindEvent, ev: ev, resp: resp}
-	return nil
 }
 
 // BatchProcessor is the optional batched-ingest extension of Storage:
@@ -374,8 +362,17 @@ func (n *StorageNode) ProcessEventBatch(evs []event.Event) error {
 		return err
 	}
 	n.met.ingestBatch.Observe(uint64(len(evs)))
+	return n.ingest(evs, nil)
+}
+
+// ingest logs evs (when archived) and hands them to the ESP workers, taking
+// ownership of evs. With an archive, append + enqueue happen under
+// ingestMu's read side so the pair is atomic with respect to the
+// fuzzy-checkpoint watermark pin. resp, when non-nil, receives the worker's
+// reply; only single-event calls pass one (see enqueueBatch).
+func (n *StorageNode) ingest(evs []event.Event, resp chan espResponse) error {
 	if n.cfg.Archive == nil {
-		n.enqueueBatch(evs)
+		n.enqueueBatch(evs, resp)
 		return nil
 	}
 	n.ingestMu.RLock()
@@ -385,20 +382,22 @@ func (n *StorageNode) ProcessEventBatch(evs []event.Event) error {
 			// The prefix is durably in the WAL: apply it now so matrix state
 			// matches what a crash-recovery replay would reconstruct, and
 			// report the boundary so the caller respills only the suffix.
-			n.enqueueBatch(evs[:appended:appended])
+			n.enqueueBatch(evs[:appended:appended], nil)
 			return &PartialBatchError{Applied: appended, Err: err}
 		}
 		return err
 	}
-	n.enqueueBatch(evs)
+	n.enqueueBatch(evs, resp)
 	return nil
 }
 
 // enqueueBatch hands evs to the ESP workers, bucketed per worker with
-// arrival order preserved inside each bucket. Takes ownership of evs.
-func (n *StorageNode) enqueueBatch(evs []event.Event) {
-	if len(n.workers) == 1 {
-		n.workers[0].ch <- espRequest{kind: kindBatch, evs: evs}
+// arrival order preserved inside each bucket. Takes ownership of evs. resp
+// rides on the request only when the whole batch lands on one worker, which
+// a single event always does.
+func (n *StorageNode) enqueueBatch(evs []event.Event, resp chan espResponse) {
+	if len(evs) == 1 || len(n.workers) == 1 {
+		n.workerForEntity(evs[0].Caller).ch <- espRequest{kind: kindBatch, evs: evs, resp: resp}
 		return
 	}
 	buckets := make([][]event.Event, len(n.workers))

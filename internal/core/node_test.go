@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/query"
 	"repro/internal/rules"
 	"repro/internal/vec"
@@ -145,6 +146,37 @@ func TestNodeProcessEventFiresRules(t *testing.T) {
 	}
 	if n.Stats().RuleFirings != 3 {
 		t.Fatalf("RuleFirings = %d", n.Stats().RuleFirings)
+	}
+}
+
+// TestBatchedIngestSamplesRuleEval checks the batched apply path feeds the
+// rule-evaluation latency series, not only the event-apply one.
+func TestBatchedIngestSamplesRuleEval(t *testing.T) {
+	sch := testSchema(t)
+	calls := sch.MustAttrIndex("calls_today_count")
+	n := newTestNode(t, Config{
+		Schema:     sch,
+		Partitions: 2,
+		Rules: []rules.Rule{{
+			ID: 1, Action: "alert",
+			Conjuncts: []rules.Conjunct{{{Kind: rules.LHSAttr, Attr: calls, Op: rules.Ge, Value: 3}}},
+		}},
+	})
+	evs := make([]event.Event, 64)
+	for i := range evs {
+		evs[i] = mkEvent(uint64(i%8)+1, int64(i))
+	}
+	if err := n.ProcessEventBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.FlushEvents(); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.met.ruleEval.Count(); got == 0 {
+		t.Fatal("aim_esp_rule_eval_seconds has no samples after batched ingest")
+	}
+	if got := n.met.eventApply.Count(); got == 0 {
+		t.Fatal("aim_core_event_apply_seconds has no samples after batched ingest")
 	}
 }
 

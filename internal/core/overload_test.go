@@ -143,3 +143,48 @@ func TestAdmissionRejectsTypedAtQueueSoftLimit(t *testing.T) {
 		t.Fatalf("EventsProcessed = %d, want %d: admitted and applied counts must match exactly", got, accepted)
 	}
 }
+
+// TestSyncEventSkipsAdmission pins the admission scope: only fire-and-forget
+// ingest is admission-checked. With the worker parked and its queue past the
+// soft limit, ProcessEventAsync rejects typed, while a concurrent
+// ProcessEvent is accepted and completes once the worker is released.
+func TestSyncEventSkipsAdmission(t *testing.T) {
+	n := newTestNode(t, Config{
+		Partitions: 1, ESPThreads: 1, ESPQueueLen: 8,
+		Overload: OverloadConfig{Enabled: true},
+	})
+	release := stallWorker(t, n)
+	defer release()
+
+	var rejection error
+	for i := 0; i < 16 && rejection == nil; i++ {
+		rejection = n.ProcessEventAsync(mkEvent(uint64(i%3)+1, int64(i)))
+	}
+	if !errors.Is(rejection, ErrOverloaded) {
+		t.Fatalf("async past the soft limit = %v, want ErrOverloaded", rejection)
+	}
+
+	type result struct {
+		firings int
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		nf, err := n.ProcessEvent(mkEvent(1, 100))
+		done <- result{nf, err}
+	}()
+	select {
+	case r := <-done:
+		t.Fatalf("sync event returned %+v while the worker was parked", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("sync event past the soft limit = %v, want success", r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sync event never completed after the worker was released")
+	}
+}

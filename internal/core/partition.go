@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/columnmap"
 	"repro/internal/crashpoint"
@@ -289,21 +290,13 @@ func (p *Partition) putOwned(rec schema.Record) {
 	}
 }
 
-// ApplyEvent is the partition-local body of UPDATE_MATRIX (Algorithm 1):
-// get (or create) the caller's record, apply all attribute-group update
-// functions, and put the record back. It returns the updated record for
-// Business Rule evaluation; the returned slice is the partition's former
-// scratch buffer (now owned by the delta), valid until the next ESP
+// ApplyEvent is the partition-local body of UPDATE_MATRIX (Algorithm 1)
+// for one event: ApplyEventBatch on a run of one, without rule callbacks.
+// It returns the updated record; the returned slice is the partition's
+// former scratch buffer (now owned by the delta), valid until the next ESP
 // operation.
 func (p *Partition) ApplyEvent(ev *event.Event) schema.Record {
-	rec := p.scratch
-	if _, ok := p.Get(ev.Caller, rec); !ok {
-		fresh := p.factory(ev.Caller)
-		copy(rec, fresh)
-	}
-	p.sch.Apply(rec, ev)
-	p.putOwned(rec)
-	return rec
+	return p.ApplyEventBatch(unsafe.Slice(ev, 1), nil, nil)
 }
 
 // ApplyEventBatch applies a caller-coalesced run — consecutive events that
@@ -318,12 +311,12 @@ func (p *Partition) ApplyEvent(ev *event.Event) schema.Record {
 // slot. Everything still dirty is materialized once at the end of the run,
 // before the record is stored — so the stored record, and the record seen
 // by onApply for the final event within ruleGroups, are byte-identical to
-// the per-event path (modulo the version slot, which advances once per
-// event but is stamped only at the end). With ruleGroups == nil and a
-// non-nil onApply, every dirty group materializes per event, preserving
-// fully eager semantics for callers that inspect whole intermediate
-// records. Returns the final record under the same lifetime contract as
-// ApplyEvent.
+// eager per-event schema.Apply (modulo the version slot, which advances
+// once per event but is stamped only at the end). With ruleGroups == nil
+// and a non-nil onApply, every dirty group materializes per event,
+// preserving fully eager semantics for callers that inspect whole
+// intermediate records. Returns the final record under the same lifetime
+// contract as ApplyEvent.
 func (p *Partition) ApplyEventBatch(run []event.Event, ruleGroups *schema.GroupSet, onApply func(ev *event.Event, rec schema.Record)) schema.Record {
 	rec := p.scratch
 	caller := run[0].Caller

@@ -31,9 +31,6 @@ func NewTable(name string, columns ...string) *Table {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Columns returns the column names.
-func (t *Table) Columns() []string { return t.columns }
-
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 

@@ -43,9 +43,6 @@ func NewGenerator(entities uint64, seed int64) *Generator {
 // Now returns the generator's current logical time in milliseconds.
 func (g *Generator) Now() int64 { return g.now }
 
-// SetNow sets the generator's logical clock.
-func (g *Generator) SetNow(ms int64) { g.now = ms }
-
 // Next fills e with the next synthetic event and advances the logical clock.
 func (g *Generator) Next(e *Event) {
 	e.Caller = 1 + uint64(g.rng.Int63n(int64(g.Entities)))

@@ -15,20 +15,18 @@ var ErrInjectedFault = errors.New("netproto: injected fault")
 // connections: every conn wrapped by (or dialed through) the plan consults
 // it on each Read/Write, so a test can flip faults on and off mid-flight.
 // It simulates the failure modes a TCP storage fabric actually exhibits —
-// slow links (read delays), dead servers (dial refusal), crashed connections
-// (resets), and half-written frames (partial writes) — against the real
-// client/server stack.
+// slow links (read delays), dead servers (dial refusal) and crashed
+// connections (resets) — against the real client/server stack.
 //
 // The zero value injects nothing; all methods are safe for concurrent use.
 type FaultPlan struct {
-	mu            sync.Mutex
-	readDelay     time.Duration
-	failDial      bool
-	resetEvery    int // close the conn on every Nth write (0 = off)
-	writesLeft    int
-	partialWrites bool // deliver a prefix of the frame, then reset
-	conns         map[*faultConn]struct{}
-	injected      uint64 // faults fired (observability)
+	mu         sync.Mutex
+	readDelay  time.Duration
+	failDial   bool
+	resetEvery int // close the conn on every Nth write (0 = off)
+	writesLeft int
+	conns      map[*faultConn]struct{}
+	injected   uint64 // faults fired (observability)
 }
 
 // NewFaultPlan returns an empty (fault-free) plan.
@@ -85,10 +83,6 @@ func (p *FaultPlan) SetResetEvery(n int) {
 	p.mu.Unlock()
 }
 
-// SetPartialWrites delivers only a prefix of each multi-byte write and then
-// resets the connection — a torn frame mid-flight.
-func (p *FaultPlan) SetPartialWrites(v bool) { p.mu.Lock(); p.partialWrites = v; p.mu.Unlock() }
-
 // ResetAll immediately closes every live connection under the plan.
 func (p *FaultPlan) ResetAll() {
 	p.mu.Lock()
@@ -107,7 +101,7 @@ func (p *FaultPlan) ResetAll() {
 func (p *FaultPlan) Heal() {
 	p.mu.Lock()
 	p.readDelay = 0
-	p.failDial, p.partialWrites = false, false
+	p.failDial = false
 	p.resetEvery, p.writesLeft = 0, 0
 	p.mu.Unlock()
 }
@@ -119,41 +113,27 @@ func (p *FaultPlan) Injected() uint64 {
 	return p.injected
 }
 
-// LiveConns returns the number of open connections under the plan.
-func (p *FaultPlan) LiveConns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
 func (p *FaultPlan) remove(fc *faultConn) {
 	p.mu.Lock()
 	delete(p.conns, fc)
 	p.mu.Unlock()
 }
 
-// writeAction is the fault decision for one Write, snapshotted under the
-// plan lock so the IO itself runs unlocked.
-type writeAction struct {
-	reset   bool
-	partial bool
-}
-
-func (p *FaultPlan) nextWrite() writeAction {
+// resetNextWrite reports whether the next Write resets the connection,
+// decided under the plan lock so the IO itself runs unlocked.
+func (p *FaultPlan) resetNextWrite() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a := writeAction{partial: p.partialWrites}
-	if p.resetEvery > 0 {
-		p.writesLeft--
-		if p.writesLeft <= 0 {
-			p.writesLeft = p.resetEvery
-			a.reset = true
-		}
+	if p.resetEvery == 0 {
+		return false
 	}
-	if a.reset || a.partial {
-		p.injected++
+	p.writesLeft--
+	if p.writesLeft > 0 {
+		return false
 	}
-	return a
+	p.writesLeft = p.resetEvery
+	p.injected++
+	return true
 }
 
 // faultConn applies a FaultPlan to one net.Conn.
@@ -174,17 +154,11 @@ func (f *faultConn) Read(b []byte) (int, error) {
 }
 
 func (f *faultConn) Write(b []byte) (int, error) {
-	a := f.plan.nextWrite()
-	switch {
-	case a.reset:
+	if f.plan.resetNextWrite() {
 		// Close before writing: the peer sees every prior frame intact,
 		// then EOF — a clean crash between frames.
 		f.Close()
 		return 0, errors.Join(ErrInjectedFault, errors.New("connection reset"))
-	case a.partial && len(b) > 1:
-		n, _ := f.Conn.Write(b[:len(b)/2])
-		f.Close()
-		return n, errors.Join(ErrInjectedFault, errors.New("partial write"))
 	}
 	return f.Conn.Write(b)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/event"
 	"repro/internal/obs"
 )
 
@@ -42,7 +43,7 @@ func TestFollowerMetricsExposition(t *testing.T) {
 	const total = 40
 	for i := 0; i < total; i++ {
 		ev := mkEvent(i)
-		if _, err := parch.Append(&ev); err != nil {
+		if _, _, err := parch.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -82,7 +82,7 @@ func TestFollowerTailsArchiveIntoOwnWAL(t *testing.T) {
 	const total = 150
 	for i := 0; i < total; i++ {
 		ev := mkEvent(i)
-		if _, err := parch.Append(&ev); err != nil {
+		if _, _, err := parch.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestFollowerReopensAfterSourceFailure(t *testing.T) {
 	const half, total = 40, 80
 	for i := 0; i < half; i++ {
 		ev := mkEvent(i)
-		if _, err := parch.Append(&ev); err != nil {
+		if _, _, err := parch.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestFollowerReopensAfterSourceFailure(t *testing.T) {
 	src.Close() // the wire drops; the follower must redial
 	for i := half; i < total; i++ {
 		ev := mkEvent(i)
-		if _, err := parch.Append(&ev); err != nil {
+		if _, _, err := parch.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestFollowerDetectsGap(t *testing.T) {
 	fnode := newNode(t, nil)
 	for i := 0; i < 12; i++ {
 		ev := mkEvent(i)
-		if _, err := parch.Append(&ev); err != nil {
+		if _, _, err := parch.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestPromoteSealsAndIsIdempotent(t *testing.T) {
 	fnode := newNode(t, nil)
 	for i := 0; i < 25; i++ {
 		ev := mkEvent(i)
-		if _, err := parch.Append(&ev); err != nil {
+		if _, _, err := parch.AppendBatch([]event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -83,16 +83,6 @@ func (g *Group) Update(rec []uint64, ev *event.Event) {
 	}
 }
 
-// Ingest runs only the group's ingest phase (epoch roll + primitive
-// update), reporting whether the stored primitives changed. Callers that
-// defer materialization must call Materialize before the record becomes
-// visible to readers.
-func (g *Group) Ingest(rec []uint64, ev *event.Event) bool { return g.ingest(rec, ev) }
-
-// Materialize publishes the group's visible aggregates from its primitives
-// (and rec's last-event timestamp, for sliding validity).
-func (g *Group) Materialize(rec []uint64) { g.materialize(rec) }
-
 // Schema is a compiled Analytics-Matrix schema.
 type Schema struct {
 	// Attrs are the visible attributes, in slot order. Attrs[i].Slot == i.
@@ -140,9 +130,6 @@ func (b *Builder) AddStatic(spec StaticSpec) *Builder {
 	b.statics = append(b.statics, spec)
 	return b
 }
-
-// NumGroups returns the number of group specs added so far.
-func (b *Builder) NumGroups() int { return len(b.specs) }
 
 // Build validates all specs, lays out record slots, compiles the per-group
 // update functions and returns the resulting Schema.
