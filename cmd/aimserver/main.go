@@ -201,7 +201,14 @@ func main() {
 				Interval:  *ckptEvery,
 				BaseEvery: *baseEvery,
 				GC:        *ckptGC,
-				OnError:   func(err error) { log.Printf("aimserver: checkpoint: %v", err) },
+				OnError: func(err error) {
+					if errors.Is(err, archive.ErrFailed) {
+						// The WAL failed stop: exit so the restart recovers
+						// from what reached disk.
+						log.Fatalf("aimserver: checkpoint: %v", err)
+					}
+					log.Printf("aimserver: checkpoint: %v", err)
+				},
 			})
 		}
 	} else {

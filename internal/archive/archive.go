@@ -11,17 +11,17 @@
 // open) so per-entity history scans — the exact-sliding-window path — do
 // not read unrelated events.
 //
-// On-disk format revisions:
+// On-disk format (revision 2): a 16 B header [magic "AIMSEG2\0" | firstLSN
+// u64], then frames of [lsn u64 | 64 B event | crc32c u32], the CRC
+// covering the preceding 72 bytes. A file without the magic is an
+// unsupported format. Recovery runs in one of two modes: Strict fails on
+// any inconsistency, Salvage truncates a torn tail at the last valid frame,
+// quarantines unreachable segments, and reports exactly what it dropped.
 //
-//	v1 (legacy): no header; frames of [lsn u64 | 64 B event].
-//	v2:          16 B header [magic "AIMSEG2\0" | firstLSN u64], then
-//	             frames of [lsn u64 | 64 B event | crc32c u32], the CRC
-//	             covering the preceding 72 bytes.
-//
-// The reader accepts both; the writer only produces v2. Recovery runs in
-// one of two modes: Strict fails on any inconsistency, Salvage truncates a
-// torn tail at the last valid frame, quarantines unreachable segments, and
-// reports exactly what it dropped.
+// The archive is fail-stop: the first write, rotate or sync error makes it
+// refuse every later append and sync with ErrFailed, so the log on disk is
+// never extended past a failure and recovery (a restart, Salvage) decides
+// what survived.
 package archive
 
 import (
@@ -41,13 +41,11 @@ import (
 )
 
 const (
-	// frameSizeV1 is the legacy on-disk record: 64 B event frame plus LSN.
-	frameSizeV1 = event.WireSize + 8
-	// frameSizeV2 adds a CRC32C over the LSN+payload.
-	frameSizeV2 = event.WireSize + 12
-	// headerSizeV2 is the v2 segment header: magic + firstLSN.
-	headerSizeV2 = 16
-	// crcOffset is where the frame CRC lives within a v2 frame.
+	// frameSize is one on-disk record: LSN, 64 B event, CRC32C over both.
+	frameSize = event.WireSize + 12
+	// headerSize is the segment header: magic + firstLSN.
+	headerSize = 16
+	// crcOffset is where the frame CRC lives within a frame.
 	crcOffset = event.WireSize + 8
 )
 
@@ -83,6 +81,12 @@ func (m RecoveryMode) String() string {
 // so callers can decide to retry with Salvage.
 var ErrCorrupt = errors.New("archive: corrupt")
 
+// ErrFailed is returned by every append and sync after the archive's first
+// write, rotate or sync error, wrapped together with that first cause. A
+// failed archive never accepts another event: what the failing append left
+// on disk is settled by recovery, not by a retry.
+var ErrFailed = errors.New("archive: failed")
+
 // RecoveryReport says what Open found and (in Salvage mode) dropped.
 type RecoveryReport struct {
 	Mode RecoveryMode
@@ -112,6 +116,7 @@ type Archive struct {
 	nextLSN     uint64
 	syncOnWrite bool
 	report      RecoveryReport
+	failed      error // sticky; wraps ErrFailed and the first write/sync error
 
 	met archiveMetrics
 }
@@ -121,23 +126,8 @@ type segment struct {
 	firstLSN uint64
 	n        int
 	file     *os.File // nil when sealed
-	v1       bool     // legacy frame layout (no header, no CRC)
 	// byEntity maps caller entity -> frame ordinals within the segment.
 	byEntity map[uint64][]int32
-}
-
-func (s *segment) frameSize() int {
-	if s.v1 {
-		return frameSizeV1
-	}
-	return frameSizeV2
-}
-
-func (s *segment) dataOff() int {
-	if s.v1 {
-		return 0
-	}
-	return headerSizeV2
 }
 
 // archiveMetrics are the archive's obs instruments; all fields are nil (and
@@ -220,12 +210,10 @@ func Open(dir string, opts Options) (*Archive, error) {
 	if err := a.recoverSegments(names, opts.Recovery); err != nil {
 		return nil, err
 	}
-	// Reopen the last segment for appends if it is v2 and has room. A
-	// trailing v1 segment stays sealed; the next append rotates into a
-	// fresh v2 segment so formats never mix within one file.
+	// Reopen the last segment for appends if it has room.
 	if n := len(a.segments); n > 0 {
 		last := a.segments[n-1]
-		if !last.v1 && last.n < a.segmentCap {
+		if last.n < a.segmentCap {
 			f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return nil, fmt.Errorf("archive: reopen %s: %w", last.path, err)
@@ -266,9 +254,9 @@ func (a *Archive) recoverSegments(names []string, mode RecoveryMode) error {
 			}
 			cut := segBytes(name) - truncAt
 			if truncAt == 0 {
-				// The whole file is a torn tail (a headerless fragment):
-				// keeping a zero-length shell would collide with the next
-				// rotation, so remove it outright.
+				// The whole file is a torn header: keeping a zero-length
+				// shell would collide with the next rotation, so remove it
+				// outright.
 				if err := os.Remove(name); err != nil {
 					return fmt.Errorf("archive: salvage remove %s: %w", name, err)
 				}
@@ -318,8 +306,8 @@ func countFrames(names []string) int {
 	total := 0
 	for _, name := range names {
 		sz := segBytes(name)
-		if sz > headerSizeV2 {
-			total += int((sz - headerSizeV2 + frameSizeV2 - 1) / frameSizeV2)
+		if sz > headerSize {
+			total += int((sz - headerSize + frameSize - 1) / frameSize)
 		}
 	}
 	return total
@@ -335,67 +323,51 @@ func segBytes(name string) int64 {
 
 // parseSegment reads one segment and rebuilds its entity index. It returns
 // truncAt >= 0 (a byte offset) when the file has a torn but salvageable
-// tail, with dropped = the number of frames beyond the valid prefix. A
-// non-nil error means the segment is unusable from the start.
+// tail, with dropped = the number of frames beyond the valid prefix; a file
+// shorter than the header is a torn header (truncAt 0). A non-nil error
+// means the segment is unusable from the start: an unreadable file, or one
+// without the segment magic (ErrCorrupt).
 func parseSegment(path string) (seg *segment, truncAt int64, dropped int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, -1, 0, fmt.Errorf("archive: %w", err)
 	}
 	seg = &segment{path: path, byEntity: make(map[uint64][]int32)}
-	if len(data) >= 8 && [8]byte(data[:8]) == segMagic {
-		return parseV2(seg, data)
+	if len(data) < headerSize {
+		return seg, 0, 0, nil
 	}
-	return parseV1(seg, data)
-}
-
-func parseV2(seg *segment, data []byte) (*segment, int64, int, error) {
-	if len(data) < headerSizeV2 {
-		return nil, -1, 0, fmt.Errorf("%w: %s: short header", ErrCorrupt, seg.path)
+	if [8]byte(data[:8]) != segMagic {
+		return nil, -1, 0, fmt.Errorf("%w: %s: unsupported segment format (magic %q)", ErrCorrupt, path, data[:8])
 	}
 	seg.firstLSN = binary.LittleEndian.Uint64(data[8:])
-	body := data[headerSizeV2:]
-	total := (len(body) + frameSizeV2 - 1) / frameSizeV2 // frames incl. a torn tail
-	for i := 0; (i+1)*frameSizeV2 <= len(body); i++ {
-		f := body[i*frameSizeV2:]
-		want := binary.LittleEndian.Uint32(f[crcOffset:])
-		if crc32.Checksum(f[:crcOffset], castagnoli) != want {
-			return seg, int64(headerSizeV2 + i*frameSizeV2), total - i, nil
-		}
-		lsn := binary.LittleEndian.Uint64(f)
-		if lsn != seg.firstLSN+uint64(i) {
-			return seg, int64(headerSizeV2 + i*frameSizeV2), total - i, nil
+	body := data[headerSize:]
+	total := (len(body) + frameSize - 1) / frameSize // frames incl. a torn tail
+	for i := 0; (i+1)*frameSize <= len(body); i++ {
+		f := body[i*frameSize:]
+		if verifyFrame(f, path, i, seg.firstLSN+uint64(i)) != nil {
+			return seg, int64(headerSize + i*frameSize), total - i, nil
 		}
 		caller := binary.LittleEndian.Uint64(f[8:]) // Event.Caller is frame word 0
 		seg.byEntity[caller] = append(seg.byEntity[caller], int32(i))
 		seg.n++
 	}
-	if seg.n*frameSizeV2 != len(body) {
+	if seg.n*frameSize != len(body) {
 		// Torn partial frame at the tail (all complete frames were valid).
-		return seg, int64(headerSizeV2 + seg.n*frameSizeV2), total - seg.n, nil
+		return seg, int64(headerSize + seg.n*frameSize), total - seg.n, nil
 	}
 	return seg, -1, 0, nil
 }
 
-func parseV1(seg *segment, data []byte) (*segment, int64, int, error) {
-	seg.v1 = true
-	for i := 0; (i+1)*frameSizeV1 <= len(data); i++ {
-		off := i * frameSizeV1
-		lsn := binary.LittleEndian.Uint64(data[off:])
-		if i == 0 {
-			seg.firstLSN = lsn
-		} else if lsn != seg.firstLSN+uint64(i) {
-			// v1 has no checksums; a broken LSN chain is the only tell.
-			return seg, int64(off), (len(data)-off+frameSizeV1-1)/frameSizeV1, nil
-		}
-		caller := binary.LittleEndian.Uint64(data[off+8:])
-		seg.byEntity[caller] = append(seg.byEntity[caller], int32(i))
-		seg.n++
+// verifyFrame checks frame ordinal ord of segment path: its CRC, then that
+// it carries LSN want. A mismatch wraps ErrCorrupt.
+func verifyFrame(f []byte, path string, ord int, want uint64) error {
+	if crc32.Checksum(f[:crcOffset], castagnoli) != binary.LittleEndian.Uint32(f[crcOffset:]) {
+		return fmt.Errorf("%w: %s: frame %d checksum", ErrCorrupt, path, ord)
 	}
-	if seg.n*frameSizeV1 != len(data) {
-		return seg, int64(seg.n * frameSizeV1), 1, nil
+	if lsn := binary.LittleEndian.Uint64(f); lsn != want {
+		return fmt.Errorf("%w: %s: frame %d has lsn %d, want %d", ErrCorrupt, path, ord, lsn, want)
 	}
-	return seg, -1, 0, nil
+	return nil
 }
 
 // Report returns what recovery found (and repaired) at Open.
@@ -407,15 +379,10 @@ func (a *Archive) Report() RecoveryReport {
 
 // AppendBatch logs a batch of events as one group append — one buffered
 // write per touched segment (batches split across a rotation) plus at most
-// one fsync when SyncOnWrite — and returns the LSN of the first event plus
-// how many leading events were appended to the per-event durability standard
-// (the write succeeded and, when SyncOnWrite, the frames landed on an
-// fsynced segment). On error callers must re-log only evs[appended:]:
-// re-logging the appended prefix would duplicate it in the WAL, and a
-// crash-recovery replay would then apply those events twice. Frames written
-// beyond the reported prefix whose sync failed may still survive a lucky
-// crash; LSNs advance before the sync, so they never collide with the next
-// append's.
+// one fsync when SyncOnWrite — and returns the LSN of the first event and
+// len(evs). After an error the archive accepts nothing more: that append
+// and every later one or Sync return ErrFailed (count 0), and the events
+// of the failing append are in doubt until recovery reads the disk.
 //
 // AppendBatch is the archive's only append path; a lone event is a batch of
 // one. Every event gets its own CRC-framed slot and consecutive LSN, so a
@@ -425,25 +392,25 @@ func (a *Archive) AppendBatch(evs []event.Event) (uint64, int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	first := a.nextLSN
-	written := 0 // events whose frames were written into segment files
-	synced := 0  // events on segments sealed (fsynced) by a mid-batch rotation
+	if a.failed != nil {
+		return first, 0, a.failed
+	}
 	for i := 0; i < len(evs); {
 		if a.active == nil || a.active.n >= a.segmentCap {
 			if err := a.rotateLocked(); err != nil {
-				return first, a.appendedCount(written, synced), err
+				return first, 0, a.fail(err)
 			}
-			synced = written
 		}
 		chunk := evs[i:min(i+a.segmentCap-a.active.n, len(evs))]
-		buf := make([]byte, len(chunk)*frameSizeV2)
+		buf := make([]byte, len(chunk)*frameSize)
 		for k := range chunk {
-			f := buf[k*frameSizeV2:]
+			f := buf[k*frameSize:]
 			binary.LittleEndian.PutUint64(f, a.nextLSN+uint64(k))
 			chunk[k].Encode(f[8:])
 			binary.LittleEndian.PutUint32(f[crcOffset:], crc32.Checksum(f[:crcOffset], castagnoli))
 		}
 		if err := a.writeGroup(buf); err != nil {
-			return first, a.appendedCount(written, synced), fmt.Errorf("archive: append batch: %w", err)
+			return first, 0, a.fail(fmt.Errorf("archive: append batch: %w", err))
 		}
 		a.met.appendBytes.Add(uint64(len(buf)))
 		for k := range chunk {
@@ -451,27 +418,24 @@ func (a *Archive) AppendBatch(evs []event.Event) (uint64, int, error) {
 			a.active.n++
 		}
 		a.nextLSN += uint64(len(chunk))
-		written += len(chunk)
 		i += len(chunk)
 	}
 	if a.syncOnWrite && a.active != nil {
-		crashpoint.Hit(crashpoint.ArchiveAppendBeforeSync)
-		if err := a.syncFile(a.active.file); err != nil {
-			return first, synced, fmt.Errorf("archive: sync: %w", err)
+		err := crashpoint.Hit(crashpoint.ArchiveAppendBeforeSync)
+		if err == nil {
+			err = a.syncFile(a.active.file)
+		}
+		if err != nil {
+			return first, 0, a.fail(fmt.Errorf("archive: sync: %w", err))
 		}
 	}
-	return first, written, nil
+	return first, len(evs), nil
 }
 
-// appendedCount converts a group append's write/sync progress into the
-// prefix length AppendBatch reports on error: without SyncOnWrite every
-// written frame counts; with it only events whose segment was already sealed
-// have been fsynced when the batch aborts early.
-func (a *Archive) appendedCount(written, synced int) int {
-	if a.syncOnWrite {
-		return synced
-	}
-	return written
+// fail makes the archive fail-stop on cause and returns the sticky error.
+func (a *Archive) fail(cause error) error {
+	a.failed = fmt.Errorf("%w: %w", ErrFailed, cause)
+	return a.failed
 }
 
 // writeGroup writes one chunk of a group append. Single-frame chunks take
@@ -481,12 +445,14 @@ func (a *Archive) appendedCount(written, synced int) int {
 // manufacture a group append whose whole-frame prefix is durable and whose
 // tail frame is torn.
 func (a *Archive) writeGroup(buf []byte) error {
-	if len(buf) == frameSizeV2 {
+	if len(buf) == frameSize {
 		return a.writeFrame(buf)
 	}
-	crashpoint.Hit(crashpoint.ArchiveAppendBeforeWrite)
+	if err := crashpoint.Hit(crashpoint.ArchiveAppendBeforeWrite); err != nil {
+		return err
+	}
 	if crashpoint.Enabled() {
-		cut := len(buf) - frameSizeV2/2
+		cut := len(buf) - frameSize/2
 		if _, err := a.active.file.Write(buf[:cut]); err != nil {
 			return err
 		}
@@ -502,7 +468,9 @@ func (a *Archive) writeGroup(buf []byte) error {
 // two halves with a kill point between them, so the harness can manufacture
 // genuinely torn tails; otherwise it is a single write.
 func (a *Archive) writeFrame(buf []byte) error {
-	crashpoint.Hit(crashpoint.ArchiveAppendBeforeWrite)
+	if err := crashpoint.Hit(crashpoint.ArchiveAppendBeforeWrite); err != nil {
+		return err
+	}
 	if crashpoint.Enabled() {
 		half := len(buf) / 2
 		if _, err := a.active.file.Write(buf[:half]); err != nil {
@@ -516,12 +484,10 @@ func (a *Archive) writeFrame(buf []byte) error {
 	return err
 }
 
-// rotateLocked seals the active segment and starts a new one. A nil
-// active.file means a previous rotation sealed the segment but failed to
-// open its successor; the retry skips straight to the open so a transient
-// failure does not wedge the archive.
+// rotateLocked seals the active segment and starts a new one. A non-nil
+// active segment always holds an open file.
 func (a *Archive) rotateLocked() error {
-	if a.active != nil && a.active.file != nil {
+	if a.active != nil {
 		if err := a.syncFile(a.active.file); err != nil {
 			return fmt.Errorf("archive: seal sync: %w", err)
 		}
@@ -529,14 +495,18 @@ func (a *Archive) rotateLocked() error {
 			return fmt.Errorf("archive: seal close: %w", err)
 		}
 		a.active.file = nil
+		a.active = nil
 	}
 	path := filepath.Join(a.dir, fmt.Sprintf("seg-%016d.log", a.nextLSN))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("archive: rotate: %w", err)
 	}
-	crashpoint.Hit(crashpoint.ArchiveRotateAfterCreate)
-	var hdr [headerSizeV2]byte
+	if err := crashpoint.Hit(crashpoint.ArchiveRotateAfterCreate); err != nil {
+		f.Close()
+		return fmt.Errorf("archive: rotate: %w", err)
+	}
+	var hdr [headerSize]byte
 	copy(hdr[:8], segMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], a.nextLSN)
 	if _, err := f.Write(hdr[:]); err != nil {
@@ -579,31 +549,40 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Sync flushes the active segment to disk.
+// Sync flushes the active segment to disk. It returns ErrFailed once any
+// append, rotation or sync has failed.
 func (a *Archive) Sync() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.active != nil && a.active.file != nil {
-		return a.syncFile(a.active.file)
+	if a.failed != nil {
+		return a.failed
+	}
+	if a.active != nil {
+		if err := a.syncFile(a.active.file); err != nil {
+			return a.fail(fmt.Errorf("archive: sync: %w", err))
+		}
 	}
 	return nil
 }
 
-// Close syncs and closes the archive.
+// Close syncs and closes the archive. A failed archive is closed without
+// a sync (its state on disk is recovery's to judge) and returns ErrFailed.
 func (a *Archive) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.active != nil && a.active.file != nil {
-		if err := a.syncFile(a.active.file); err != nil {
-			return err
-		}
-		if err := a.active.file.Close(); err != nil {
-			return err
-		}
-		a.active.file = nil
-		a.active = nil
+	if a.active == nil {
+		return a.failed
 	}
-	return nil
+	f := a.active.file
+	a.active.file, a.active = nil, nil
+	err := a.failed
+	if err == nil {
+		err = a.syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // NextLSN returns the LSN the next appended event will get.
@@ -674,17 +653,14 @@ func (s *segment) readFrame(ordinal int) (uint64, event.Event, error) {
 		return 0, event.Event{}, err
 	}
 	defer f.Close()
-	buf := make([]byte, s.frameSize())
-	if _, err := f.ReadAt(buf, int64(s.dataOff()+ordinal*s.frameSize())); err != nil {
+	buf := make([]byte, frameSize)
+	if _, err := f.ReadAt(buf, int64(headerSize+ordinal*frameSize)); err != nil {
 		return 0, event.Event{}, err
 	}
-	if !s.v1 {
-		want := binary.LittleEndian.Uint32(buf[crcOffset:])
-		if crc32.Checksum(buf[:crcOffset], castagnoli) != want {
-			return 0, event.Event{}, fmt.Errorf("%w: %s: frame %d checksum", ErrCorrupt, s.path, ordinal)
-		}
+	lsn := s.firstLSN + uint64(ordinal)
+	if err := verifyFrame(buf, s.path, ordinal, lsn); err != nil {
+		return 0, event.Event{}, err
 	}
-	lsn := binary.LittleEndian.Uint64(buf)
 	var ev event.Event
 	if err := ev.Decode(buf[8:]); err != nil {
 		return 0, ev, err
@@ -700,7 +676,6 @@ type segSnap struct {
 	path     string
 	firstLSN uint64
 	n        int
-	v1       bool
 }
 
 // snapshotSegments captures the committed extent of every segment.
@@ -709,7 +684,7 @@ func (a *Archive) snapshotSegments() []segSnap {
 	defer a.mu.Unlock()
 	segs := make([]segSnap, len(a.segments))
 	for i, s := range a.segments {
-		segs[i] = segSnap{path: s.path, firstLSN: s.firstLSN, n: s.n, v1: s.v1}
+		segs[i] = segSnap{path: s.path, firstLSN: s.firstLSN, n: s.n}
 	}
 	return segs
 }
@@ -729,24 +704,17 @@ func (a *Archive) Replay(fromLSN uint64, fn func(lsn uint64, ev event.Event) err
 		if err != nil {
 			return fmt.Errorf("archive: replay %s: %w", s.path, err)
 		}
-		fs, off := frameSizeV2, headerSizeV2
-		if s.v1 {
-			fs, off = frameSizeV1, 0
+		if len(data) > headerSize+s.n*frameSize {
+			data = data[:headerSize+s.n*frameSize]
 		}
-		if len(data) > off+s.n*fs {
-			data = data[:off+s.n*fs]
-		}
-		for i := 0; off+(i+1)*fs <= len(data); i++ {
-			f := data[off+i*fs:]
-			if !s.v1 {
-				want := binary.LittleEndian.Uint32(f[crcOffset:])
-				if crc32.Checksum(f[:crcOffset], castagnoli) != want {
-					return fmt.Errorf("%w: %s: frame %d checksum during replay", ErrCorrupt, s.path, i)
-				}
-			}
-			lsn := binary.LittleEndian.Uint64(f)
+		for i := 0; headerSize+(i+1)*frameSize <= len(data); i++ {
+			lsn := s.firstLSN + uint64(i)
 			if lsn < fromLSN {
 				continue
+			}
+			f := data[headerSize+i*frameSize:]
+			if err := verifyFrame(f, s.path, i, lsn); err != nil {
+				return fmt.Errorf("archive: replay: %w", err)
 			}
 			var ev event.Event
 			if err := ev.Decode(f[8:]); err != nil {
@@ -794,21 +762,16 @@ func (a *Archive) ReadFrom(fromLSN uint64, max int) ([]event.Event, uint64, erro
 	var path string
 	var firstLSN uint64
 	var n int
-	var v1 bool
 	found := false
 	for _, s := range a.segments {
 		if s.firstLSN <= fromLSN && fromLSN < s.firstLSN+uint64(s.n) {
-			path, firstLSN, n, v1, found = s.path, s.firstLSN, s.n, s.v1, true
+			path, firstLSN, n, found = s.path, s.firstLSN, s.n, true
 			break
 		}
 	}
 	a.mu.Unlock()
 	if !found {
 		return nil, frontier, fmt.Errorf("%w: lsn %d (floor %d)", ErrTruncated, fromLSN, a.FirstLSN())
-	}
-	fs, off := frameSizeV2, headerSizeV2
-	if v1 {
-		fs, off = frameSizeV1, 0
 	}
 	ord := int(fromLSN - firstLSN)
 	count := min(max, n-ord)
@@ -817,21 +780,15 @@ func (a *Archive) ReadFrom(fromLSN uint64, max int) ([]event.Event, uint64, erro
 		return nil, frontier, fmt.Errorf("archive: read %s: %w", path, err)
 	}
 	defer f.Close()
-	buf := make([]byte, count*fs)
-	if _, err := f.ReadAt(buf, int64(off+ord*fs)); err != nil {
+	buf := make([]byte, count*frameSize)
+	if _, err := f.ReadAt(buf, int64(headerSize+ord*frameSize)); err != nil {
 		return nil, frontier, fmt.Errorf("archive: read %s: %w", path, err)
 	}
 	evs := make([]event.Event, count)
 	for i := 0; i < count; i++ {
-		fr := buf[i*fs:]
-		if !v1 {
-			want := binary.LittleEndian.Uint32(fr[crcOffset:])
-			if crc32.Checksum(fr[:crcOffset], castagnoli) != want {
-				return nil, frontier, fmt.Errorf("%w: %s: frame %d checksum during read", ErrCorrupt, path, ord+i)
-			}
-		}
-		if lsn := binary.LittleEndian.Uint64(fr); lsn != fromLSN+uint64(i) {
-			return nil, frontier, fmt.Errorf("%w: %s: frame %d has lsn %d, want %d", ErrCorrupt, path, ord+i, lsn, fromLSN+uint64(i))
+		fr := buf[i*frameSize:]
+		if err := verifyFrame(fr, path, ord+i, fromLSN+uint64(i)); err != nil {
+			return nil, frontier, fmt.Errorf("archive: read: %w", err)
 		}
 		if err := evs[i].Decode(fr[8:]); err != nil {
 			return nil, frontier, err

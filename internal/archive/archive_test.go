@@ -1,9 +1,11 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -183,7 +185,7 @@ func TestBitFlipDetectedByFrameCRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int64(headerSizeV2 + 5*frameSizeV2 + 20)
+	off := int64(headerSize + 5*frameSize + 20)
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
@@ -229,7 +231,7 @@ func TestSalvageQuarantinesUnreachableSegments(t *testing.T) {
 	// Corrupt the MIDDLE segment's first frame: everything after it is
 	// unreachable (the LSN chain is broken).
 	f, _ := os.OpenFile(segs[1], os.O_RDWR, 0)
-	f.WriteAt([]byte{0xAA}, headerSizeV2+3)
+	f.WriteAt([]byte{0xAA}, headerSize+3)
 	f.Close()
 	s, err := Open(dir, Options{Recovery: Salvage})
 	if err != nil {
@@ -261,14 +263,18 @@ func TestSalvageQuarantinesUnreachableSegments(t *testing.T) {
 	}
 }
 
-func TestLegacyV1SegmentsStillReadable(t *testing.T) {
+// TestUnsupportedSegmentFormatRejected pins how recovery treats a segment
+// without the segment magic, such as the headerless revision-1 layout
+// ([lsn u64 | 64 B event] frames): Strict refuses it with ErrCorrupt naming
+// the format, Salvage quarantines the file (renamed, never deleted) and the
+// archive starts empty.
+func TestUnsupportedSegmentFormatRejected(t *testing.T) {
 	dir := t.TempDir()
-	// Hand-write a v1 segment: headerless 72 B frames.
 	var buf []byte
 	for i := 0; i < 6; i++ {
-		frame := make([]byte, frameSizeV1)
-		ev := mkEvent(uint64(i%2)+1, int64(i*100), int64(i), 1, false)
+		frame := make([]byte, event.WireSize+8)
 		putUint64(frame, uint64(i))
+		ev := mkEvent(uint64(i%2)+1, int64(i*100), int64(i), 1, false)
 		ev.Encode(frame[8:])
 		buf = append(buf, frame...)
 	}
@@ -276,39 +282,24 @@ func TestLegacyV1SegmentsStillReadable(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := Open(dir, Options{})
+	_, err := Open(dir, Options{})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported segment format") {
+		t.Fatalf("strict open of a headerless segment: err = %v, want ErrCorrupt naming the format", err)
+	}
+	a, err := Open(dir, Options{Recovery: Salvage})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.Len() != 6 || a.NextLSN() != 6 {
-		t.Fatalf("v1 reopen Len=%d NextLSN=%d", a.Len(), a.NextLSN())
+	rep := a.Report()
+	if a.Len() != 0 || len(rep.QuarantinedFiles) != 1 || rep.QuarantinedFiles[0] != path+".quarantine" {
+		t.Fatalf("salvage: Len=%d report=%+v", a.Len(), rep)
 	}
-	// Appending does NOT extend the v1 file: a fresh v2 segment is rotated
-	// in so formats never mix within one file.
-	ev := mkEvent(5, 1000, 9, 1, false)
-	lsn, _, err := a.AppendBatch([]event.Event{ev})
-	if err != nil || lsn != 6 {
-		t.Fatalf("append after v1: lsn=%d err=%v", lsn, err)
+	if kept, err := os.ReadFile(path + ".quarantine"); err != nil || !bytes.Equal(kept, buf) {
+		t.Fatalf("quarantined file not kept intact: err=%v", err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if len(segs) != 2 {
-		t.Fatalf("segments after v1 append: %v", segs)
-	}
-	n := 0
-	if err := a.Replay(0, func(uint64, event.Event) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("replayed %d across v1+v2", n)
-	}
-	// Entity history spans both formats.
-	evs, err := a.EntityHistory(1, 0, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 3 {
-		t.Fatalf("entity 1 history = %d events", len(evs))
+	if lsn, _, err := a.AppendBatch([]event.Event{mkEvent(5, 1000, 9, 1, false)}); err != nil || lsn != 0 {
+		t.Fatalf("append after quarantine: lsn=%d err=%v", lsn, err)
 	}
 }
 

@@ -138,21 +138,22 @@ func TestTornGroupAppendSalvages(t *testing.T) {
 	}
 	defer crashpoint.Disarm()
 	var tornSize int64 = -1
-	crashpoint.SetHook(func(name string) {
+	crashpoint.SetHook(func(name string) error {
 		if name != crashpoint.ArchiveAppendBatchTorn {
-			return
+			return nil
 		}
 		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 		if len(segs) != 1 {
 			t.Errorf("segments at torn point: %v", segs)
-			return
+			return nil
 		}
 		fi, err := os.Stat(segs[0])
 		if err != nil {
 			t.Error(err)
-			return
+			return nil
 		}
 		tornSize = fi.Size()
+		return nil
 	})
 
 	evs := make([]event.Event, 10)
@@ -207,5 +208,51 @@ func TestTornGroupAppendSalvages(t *testing.T) {
 	}
 	if lsn != uint64(len(evs)-1) {
 		t.Fatalf("append after salvage lsn = %d", lsn)
+	}
+}
+
+// TestFailStopAfterWriteError checks the archive's failure contract: the
+// first write error fails the append with ErrFailed wrapping the cause, and
+// from then on every append and Sync returns it, so nothing is logged past
+// the failure. What reached disk before it reopens intact.
+func TestFailStopAfterWriteError(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]event.Event, 6)
+	for i := range evs {
+		evs[i] = mkEvent(uint64(i)+1, int64(i), 10, 1, false)
+	}
+	if _, _, err := a.AppendBatch(evs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected write error")
+	if err := crashpoint.Arm(crashpoint.ArchiveAppendBeforeWrite); err != nil {
+		t.Fatal(err)
+	}
+	crashpoint.SetHook(func(string) error { return injected })
+	_, n, err := a.AppendBatch(evs[3:])
+	crashpoint.Disarm()
+	if n != 0 || !errors.Is(err, ErrFailed) || !errors.Is(err, injected) {
+		t.Fatalf("failing append: n=%d err=%v, want 0 and ErrFailed wrapping the cause", n, err)
+	}
+	if _, n, err := a.AppendBatch(evs[3:]); n != 0 || !errors.Is(err, ErrFailed) {
+		t.Fatalf("append after failure: n=%d err=%v, want ErrFailed", n, err)
+	}
+	if err := a.Sync(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("sync after failure: %v, want ErrFailed", err)
+	}
+	if err := a.Close(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("close after failure: %v, want ErrFailed", err)
+	}
+	b, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.Len() != 3 || b.NextLSN() != 3 {
+		t.Fatalf("reopened Len=%d NextLSN=%d, want 3", b.Len(), b.NextLSN())
 	}
 }

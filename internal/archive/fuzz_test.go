@@ -43,7 +43,7 @@ func fuzzSeedSegment(f *testing.F, events int) []byte {
 func FuzzOpenSegment(f *testing.F) {
 	f.Add(fuzzSeedSegment(f, 5))
 	f.Add([]byte("AIMSEG2\x00\x00\x00\x00\x00\x00\x00\x00\x00")) // empty v2
-	f.Add(make([]byte, frameSizeV1*2))                           // headerless v1
+	f.Add(make([]byte, (event.WireSize+8)*2))                    // headerless revision 1
 	f.Add([]byte{})
 	f.Add([]byte("AIMSEG2"))
 

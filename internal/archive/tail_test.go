@@ -148,7 +148,7 @@ func TestReadFromStopsCleanlyAtSalvagedTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(last, fi.Size()-frameSizeV2/2); err != nil {
+	if err := os.Truncate(last, fi.Size()-frameSize/2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,8 +14,8 @@
 //	trailer "AIMCKEND" 8 B | count u64 | crc32c u32 over all preceding bytes
 //
 // The sealed trailer replaces revision 1's patched count field: a file
-// without a valid trailer was never completely written. Revision 1 files
-// ("AIMCKPT1", count in the header, no checksums) are still readable.
+// without a valid trailer was never completely written. A file of any other
+// revision fails with ErrCorrupt (bad magic).
 //
 // Files are written to a temp name and renamed on Close, so a crashed
 // checkpoint never becomes visible; Manager garbage-collects orphaned
@@ -38,16 +38,13 @@ import (
 )
 
 var (
-	magicV1   = [8]byte{'A', 'I', 'M', 'C', 'K', 'P', 'T', '1'}
 	magicV2   = [8]byte{'A', 'I', 'M', 'C', 'K', 'P', 'T', '2'}
 	sealMagic = [8]byte{'A', 'I', 'M', 'C', 'K', 'E', 'N', 'D'}
 )
 
 const (
-	headerSize    = 8 + 4 + 8 // magic + slots + watermark
-	headerSizeV1  = headerSize + 8
-	countOffsetV1 = headerSize
-	trailerSize   = 8 + 8 + 4 // seal magic + count + file CRC
+	headerSize  = 8 + 4 + 8 // magic + slots + watermark
+	trailerSize = 8 + 8 + 4 // seal magic + count + file CRC
 
 	// maxSlots bounds the record width a reader will accept, so corrupt or
 	// adversarial headers cannot trigger huge allocations.
@@ -189,7 +186,7 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// ReadFile loads one checkpoint file (either revision), invoking fn per
+// ReadFile loads one checkpoint file, invoking fn per
 // record. It returns the file's watermark. Any validation failure wraps
 // ErrCorrupt.
 func ReadFile(path string, fn func(rec []uint64) error) (uint64, error) {
@@ -204,17 +201,9 @@ func readBytes(path string, data []byte, fn func(rec []uint64) error) (uint64, e
 	if len(data) < headerSize {
 		return 0, fmt.Errorf("checkpoint: %s: short header: %w", path, ErrCorrupt)
 	}
-	switch {
-	case string(data[:8]) == string(magicV2[:]):
-		return readV2(path, data, fn)
-	case string(data[:8]) == string(magicV1[:]):
-		return readV1(path, data, fn)
-	default:
-		return 0, fmt.Errorf("checkpoint: %s: bad magic: %w", path, ErrCorrupt)
+	if string(data[:8]) != string(magicV2[:]) {
+		return 0, fmt.Errorf("checkpoint: %s: bad magic %q: %w", path, data[:8], ErrCorrupt)
 	}
-}
-
-func readV2(path string, data []byte, fn func(rec []uint64) error) (uint64, error) {
 	slots := int(binary.LittleEndian.Uint32(data[8:]))
 	watermark := binary.LittleEndian.Uint64(data[12:])
 	if slots <= 0 || slots > maxSlots {
@@ -251,36 +240,6 @@ func readV2(path string, data []byte, fn func(rec []uint64) error) (uint64, erro
 			rec[s] = binary.LittleEndian.Uint64(payload[s*8:])
 		}
 		off += recSize
-		if err := fn(rec); err != nil {
-			return 0, err
-		}
-	}
-	return watermark, nil
-}
-
-// readV1 reads the legacy revision-1 format (count in header, no checksums).
-func readV1(path string, data []byte, fn func(rec []uint64) error) (uint64, error) {
-	if len(data) < headerSizeV1 {
-		return 0, fmt.Errorf("checkpoint: %s: short header: %w", path, ErrCorrupt)
-	}
-	slots := int(binary.LittleEndian.Uint32(data[8:]))
-	watermark := binary.LittleEndian.Uint64(data[12:])
-	count := binary.LittleEndian.Uint64(data[countOffsetV1:])
-	if slots <= 0 || slots > maxSlots {
-		return 0, fmt.Errorf("checkpoint: %s: record width %d: %w", path, slots, ErrCorrupt)
-	}
-	body := uint64(len(data) - headerSizeV1)
-	if count > body/uint64(slots*8) {
-		return 0, fmt.Errorf("checkpoint: %s: truncated (%d records do not fit in %d bytes): %w",
-			path, count, body, ErrCorrupt)
-	}
-	off := headerSizeV1
-	for i := uint64(0); i < count; i++ {
-		rec := make([]uint64, slots)
-		for s := 0; s < slots; s++ {
-			rec[s] = binary.LittleEndian.Uint64(data[off:])
-			off += 8
-		}
 		if err := fn(rec); err != nil {
 			return 0, err
 		}

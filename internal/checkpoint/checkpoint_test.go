@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -284,32 +285,24 @@ func TestSalvageDropsCorruptSuffix(t *testing.T) {
 	}
 }
 
-func TestReadV1LegacyFormat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.ckpt")
-	// Hand-craft a v1 file: magic, slots=2, wm=77, count=2, records.
-	buf := make([]byte, headerSizeV1+2*2*8)
-	copy(buf, magicV1[:])
-	binary.LittleEndian.PutUint32(buf[8:], 2)
-	binary.LittleEndian.PutUint64(buf[12:], 77)
-	binary.LittleEndian.PutUint64(buf[countOffsetV1:], 2)
-	binary.LittleEndian.PutUint64(buf[headerSizeV1:], 5)
-	binary.LittleEndian.PutUint64(buf[headerSizeV1+8:], 50)
-	binary.LittleEndian.PutUint64(buf[headerSizeV1+16:], 6)
-	binary.LittleEndian.PutUint64(buf[headerSizeV1+24:], 60)
+// TestReadRejectsRevision1 pins that a revision-1 file ("AIMCKPT1", count
+// in the header, no checksums) is no longer read: it fails with ErrCorrupt
+// naming its magic, and hands the callback nothing.
+func TestReadRejectsRevision1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.ckpt")
+	buf := make([]byte, headerSize+8+2*2*8)
+	copy(buf, "AIMCKPT1")
+	binary.LittleEndian.PutUint32(buf[8:], 2)            // slots
+	binary.LittleEndian.PutUint64(buf[12:], 77)          // watermark
+	binary.LittleEndian.PutUint64(buf[headerSize:], 2)   // count
+	binary.LittleEndian.PutUint64(buf[headerSize+8:], 5) // first record
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var got [][]uint64
-	wm, err := ReadFile(path, func(rec []uint64) error {
-		got = append(got, append([]uint64(nil), rec...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wm != 77 || len(got) != 2 || got[1][0] != 6 || got[1][1] != 60 {
-		t.Fatalf("v1 read: wm=%d got=%v", wm, got)
+	calls := 0
+	_, err := ReadFile(path, func([]uint64) error { calls++; return nil })
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "AIMCKPT1") || calls != 0 {
+		t.Fatalf("revision-1 read: err=%v calls=%d, want ErrCorrupt naming the magic and no records", err, calls)
 	}
 }
 

@@ -30,28 +30,28 @@ func fuzzSeedCkpt(f *testing.F) []byte {
 	return data
 }
 
-// fuzzSeedV1 hand-crafts a legacy v1 checkpoint file (no CRCs, no trailer).
-func fuzzSeedV1() []byte {
-	buf := make([]byte, headerSizeV1+2*8)
-	copy(buf, magicV1[:])
-	binary.LittleEndian.PutUint32(buf[8:], 2)    // slots
-	binary.LittleEndian.PutUint64(buf[12:], 7)   // watermark
-	binary.LittleEndian.PutUint64(buf[20:], 1)   // count
-	binary.LittleEndian.PutUint64(buf[28:], 11)  // rec slot 0
-	binary.LittleEndian.PutUint64(buf[36:], 22)  // rec slot 1
+// fuzzSeedRev1 hand-crafts a revision-1 checkpoint file (count in the
+// header, no CRCs, no trailer), which the reader must reject.
+func fuzzSeedRev1() []byte {
+	buf := make([]byte, headerSize+8+2*8)
+	copy(buf, "AIMCKPT1")
+	binary.LittleEndian.PutUint32(buf[8:], 2)   // slots
+	binary.LittleEndian.PutUint64(buf[12:], 7)  // watermark
+	binary.LittleEndian.PutUint64(buf[20:], 1)  // count
+	binary.LittleEndian.PutUint64(buf[28:], 11) // rec slot 0
+	binary.LittleEndian.PutUint64(buf[36:], 22) // rec slot 1
 	return buf
 }
 
-// FuzzReadFile feeds arbitrary bytes to the checkpoint reader (both the v1
-// and v2 paths). It must never panic and never hand the callback a record
-// of the wrong width; corrupt inputs must fail with ErrCorrupt, not be
-// silently mis-parsed.
+// FuzzReadFile feeds arbitrary bytes to the checkpoint reader. It must
+// never panic and never hand the callback a record of the wrong width;
+// corrupt inputs must fail with ErrCorrupt, not be silently mis-parsed.
 func FuzzReadFile(f *testing.F) {
 	f.Add(fuzzSeedCkpt(f))
-	f.Add(fuzzSeedV1())
+	f.Add(fuzzSeedRev1())
 	f.Add([]byte{})
 	f.Add(magicV2[:])
-	f.Add(magicV1[:])
+	f.Add([]byte("AIMCKPT1"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "000001-base.ckpt")

@@ -301,11 +301,11 @@ type BatchProcessor interface {
 	ProcessEventBatch(evs []event.Event) error
 }
 
-// PartialBatchError reports a batch ingest that stopped partway: the first
-// Applied events were durably logged and handed to the ESP workers, the rest
-// were not ingested at all. Callers must re-submit only the un-applied
-// suffix — re-submitting the whole batch would log the prefix twice, and a
-// crash-recovery replay would then apply those events twice.
+// PartialBatchError reports a batch that a forwarding layer accepted only
+// partway: the handle took ownership of the first Applied events (the
+// cluster delivered or spilled them) and none of the rest. Callers
+// re-submit only the suffix. A StorageNode never returns one: its ingest is
+// all-or-nothing, and a failed WAL append fails the whole batch.
 type PartialBatchError struct {
 	Applied int
 	Err     error
@@ -319,11 +319,11 @@ func (e *PartialBatchError) Unwrap() error { return e.Err }
 
 // ProcessBatch delivers evs through one ProcessEventBatch call when the
 // handle supports it, else per event. It returns how many leading events
-// were durably handed off along with the first error: a batch-capable
-// handle fails all-or-nothing (0 on error) unless the error is a
-// *PartialBatchError carrying the ingested prefix length; the per-event
-// fallback stops at the failing event. Callers relinquish ownership of
-// evs[:delivered] either way and own the retry of the suffix.
+// were handed off along with the first error: a batch-capable handle fails
+// all-or-nothing (0 on error) unless the error is a *PartialBatchError
+// carrying the accepted prefix length; the per-event fallback stops at the
+// failing event. Callers relinquish ownership of evs[:delivered] either way
+// and own the retry of the suffix.
 func ProcessBatch(st Storage, evs []event.Event) (int, error) {
 	if bp, ok := st.(BatchProcessor); ok {
 		if err := bp.ProcessEventBatch(evs); err != nil {
@@ -368,8 +368,10 @@ func (n *StorageNode) ProcessEventBatch(evs []event.Event) error {
 // ingest logs evs (when archived) and hands them to the ESP workers, taking
 // ownership of evs. With an archive, append + enqueue happen under
 // ingestMu's read side so the pair is atomic with respect to the
-// fuzzy-checkpoint watermark pin. resp, when non-nil, receives the worker's
-// reply; only single-event calls pass one (see enqueueBatch).
+// fuzzy-checkpoint watermark pin. A failed append applies nothing and
+// returns archive.ErrFailed, as does every later ingest: the archive is
+// fail-stop. resp, when non-nil, receives the worker's reply; only
+// single-event calls pass one (see enqueueBatch).
 func (n *StorageNode) ingest(evs []event.Event, resp chan espResponse) error {
 	if n.cfg.Archive == nil {
 		n.enqueueBatch(evs, resp)
@@ -377,14 +379,7 @@ func (n *StorageNode) ingest(evs []event.Event, resp chan espResponse) error {
 	}
 	n.ingestMu.RLock()
 	defer n.ingestMu.RUnlock()
-	if _, appended, err := n.cfg.Archive.AppendBatch(evs); err != nil {
-		if appended > 0 {
-			// The prefix is durably in the WAL: apply it now so matrix state
-			// matches what a crash-recovery replay would reconstruct, and
-			// report the boundary so the caller respills only the suffix.
-			n.enqueueBatch(evs[:appended:appended], nil)
-			return &PartialBatchError{Applied: appended, Err: err}
-		}
+	if _, _, err := n.cfg.Archive.AppendBatch(evs); err != nil {
 		return err
 	}
 	n.enqueueBatch(evs, resp)

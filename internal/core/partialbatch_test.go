@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/checkpoint"
+	"repro/internal/crashpoint"
 	"repro/internal/event"
 )
 
@@ -38,11 +40,11 @@ func TestProcessBatchPartialError(t *testing.T) {
 	}
 }
 
-// TestProcessEventBatchPartialAppend drives the real partial path: a group
-// WAL append that fails at a mid-batch segment rotation. The durably logged
-// prefix must be applied to the matrix (matching what crash recovery would
-// replay) and reported, so that respilling only the suffix reconstructs the
-// exact stream with no event logged or applied twice.
+// TestProcessEventBatchPartialAppend drives a group WAL append that fails
+// partway, at a mid-batch segment rotation. The archive fails stop: the
+// node applies none of the batch and reports no prefix, the caller's respill
+// is refused with archive.ErrFailed, and the WAL holds dense LSNs with no
+// event logged twice.
 func TestProcessEventBatchPartialAppend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "arch")
 	arch, err := archive.Open(dir, archive.Options{SegmentEvents: 4})
@@ -74,40 +76,28 @@ func TestProcessEventBatchPartialAppend(t *testing.T) {
 		batch[i] = mk(2 + i)
 	}
 	delivered, err := ProcessBatch(n, batch)
-	if err == nil {
-		t.Fatal("batch spanning a broken rotation reported success")
-	}
 	var pe *PartialBatchError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want PartialBatchError", err)
-	}
-	if delivered != 2 || pe.Applied != 2 {
-		t.Fatalf("delivered = %d, Applied = %d, want 2 (the segment's remaining room)", delivered, pe.Applied)
+	if delivered != 0 || !errors.Is(err, archive.ErrFailed) || errors.As(err, &pe) {
+		t.Fatalf("batch spanning a broken rotation: delivered=%d err=%v, want 0 and a bare archive.ErrFailed", delivered, err)
 	}
 	if err := os.Rename(moved, dir); err != nil {
 		t.Fatal(err)
 	}
 
-	// The logged prefix was applied; the suffix was not.
+	// Nothing of the failed batch was applied.
 	if err := n.FlushEvents(); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Stats().EventsProcessed; got != 4 {
-		t.Fatalf("processed %d events after partial batch, want 4", got)
+	if got := n.Stats().EventsProcessed; got != 2 {
+		t.Fatalf("processed %d events after the failed batch, want 2", got)
+	}
+	// The respill is refused even though the directory is back.
+	if err := n.ProcessEventBatch(batch); !errors.Is(err, archive.ErrFailed) {
+		t.Fatalf("respill after the failure = %v, want archive.ErrFailed", err)
 	}
 
-	// Respill exactly the reported suffix, like the cluster layer would.
-	if err := n.ProcessEventBatch(batch[delivered:]); err != nil {
-		t.Fatalf("suffix redelivery: %v", err)
-	}
-	if err := n.FlushEvents(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Stats().EventsProcessed; got != 8 {
-		t.Fatalf("processed %d events after redelivery, want 8", got)
-	}
-
-	// The WAL holds the exact stream once: dense LSNs, no duplicates.
+	// The WAL holds what reached disk once: dense LSNs, no duplicates, the
+	// acked events first.
 	next := uint64(0)
 	if err := arch.Replay(0, func(lsn uint64, ev event.Event) error {
 		if lsn != next || ev != mk(int(lsn)) {
@@ -118,7 +108,85 @@ func TestProcessEventBatchPartialAppend(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if next != 8 {
-		t.Fatalf("archive replayed %d events, want 8", next)
+	if next < 2 {
+		t.Fatalf("archive replayed %d events, want the 2 acked ones", next)
+	}
+}
+
+// TestFailedSyncFailsStop injects an fsync failure under a batch on a
+// SyncOnWrite node, then respills the batch the way core.ProcessBatch's
+// caller does. The respill, a sync event and a checkpoint must all be
+// refused with archive.ErrFailed, and the WAL must hold every acked event
+// and no event twice.
+func TestFailedSyncFailsStop(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "arch")
+	arch, err := archive.Open(dir, archive.Options{SyncOnWrite: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTestNode(t, Config{Partitions: 2, Archive: arch})
+	mk := func(i int) event.Event {
+		return event.Event{Caller: uint64(i%3) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
+	}
+	acked := 0
+	for ; acked < 4; acked++ {
+		if _, err := n.ProcessEvent(mk(acked)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	injected := errors.New("injected fsync error")
+	crashpoint.SetHook(func(string) error { return injected })
+	if err := crashpoint.Arm(crashpoint.ArchiveAppendBeforeSync); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]event.Event, 5)
+	for i := range batch {
+		batch[i] = mk(acked + i)
+	}
+	delivered, err := ProcessBatch(n, append([]event.Event(nil), batch...))
+	crashpoint.Disarm()
+	if delivered != 0 || !errors.Is(err, archive.ErrFailed) || !errors.Is(err, injected) {
+		t.Fatalf("batch with a failed fsync: delivered=%d err=%v, want 0 and ErrFailed wrapping the cause", delivered, err)
+	}
+
+	if err := n.ProcessEventBatch(batch[delivered:]); !errors.Is(err, archive.ErrFailed) {
+		t.Fatalf("respill = %v, want archive.ErrFailed", err)
+	}
+	if _, err := n.ProcessEvent(mk(100)); !errors.Is(err, archive.ErrFailed) {
+		t.Fatalf("sync event = %v, want archive.ErrFailed", err)
+	}
+	mgr, err := checkpoint.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Checkpoint(mgr, true); !errors.Is(err, archive.ErrFailed) {
+		t.Fatalf("checkpoint = %v, want archive.ErrFailed", err)
+	}
+	if err := arch.Close(); !errors.Is(err, archive.ErrFailed) {
+		t.Fatalf("close = %v, want archive.ErrFailed", err)
+	}
+
+	// Recovery view: the WAL opens Strict, carries no event at two LSNs, and
+	// holds every acked event at its LSN.
+	re, err := archive.Open(dir, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	seen := map[int64]uint64{}
+	if err := re.Replay(0, func(lsn uint64, ev event.Event) error {
+		if prev, dup := seen[ev.Timestamp]; dup {
+			t.Fatalf("event ts %d logged twice, at lsn %d and %d", ev.Timestamp, prev, lsn)
+		}
+		seen[ev.Timestamp] = lsn
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < acked; i++ {
+		if lsn, ok := seen[mk(i).Timestamp]; !ok || lsn != uint64(i) {
+			t.Fatalf("acked event %d: at lsn %d (present %v), want lsn %d", i, lsn, ok, i)
+		}
 	}
 }

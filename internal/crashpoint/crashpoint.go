@@ -11,8 +11,9 @@
 //	AIM_CRASHPOINTS="archive.append.torn:3"      // die on the 3rd hit
 //	AIM_CRASHPOINTS="checkpoint.close.before-rename"  // die on the 1st hit
 //
-// Tests inside this module can install a hook instead of dying, turning a
-// kill point into an error-injection point.
+// Tests inside this module can install a hook instead of dying. Hit returns
+// the hook's error, so a call site that propagates it (the archive's write,
+// sync and rotate points) turns a kill point into an error-injection point.
 package crashpoint
 
 import (
@@ -68,8 +69,8 @@ func Points() []string {
 var (
 	armed  atomic.Bool
 	mu     sync.Mutex
-	points map[string]int    // remaining hits until the point fires
-	hook   func(name string) // test hook; nil = kill the process
+	points map[string]int          // remaining hits until the point fires
+	hook   func(name string) error // test hook; nil = kill the process
 )
 
 // Arm installs the given spec ("name[:count],name2[:count2]"). count is the
@@ -120,8 +121,8 @@ func Disarm() {
 }
 
 // SetHook replaces process death with a callback (for in-process tests).
-// The hook runs with no locks held.
-func SetHook(f func(name string)) {
+// The hook runs with no locks held; Hit returns its error.
+func SetHook(f func(name string) error) {
 	mu.Lock()
 	hook = f
 	mu.Unlock()
@@ -131,27 +132,28 @@ func SetHook(f func(name string)) {
 // work to expose a point (e.g. splitting a write in two) gate on it.
 func Enabled() bool { return armed.Load() }
 
-// Hit fires the named point if it is armed and its countdown reaches zero.
-// When disarmed (the production state) it costs one atomic load.
-func Hit(name string) {
+// Hit fires the named point if it is armed and its countdown reaches zero,
+// returning the hook's error (nil when it does not fire). When disarmed
+// (the production state) it costs one atomic load.
+func Hit(name string) error {
 	if !armed.Load() {
-		return
+		return nil
 	}
-	hitSlow(name)
+	return hitSlow(name)
 }
 
-func hitSlow(name string) {
+func hitSlow(name string) error {
 	mu.Lock()
 	rem, ok := points[name]
 	if !ok {
 		mu.Unlock()
-		return
+		return nil
 	}
 	rem--
 	if rem > 0 {
 		points[name] = rem
 		mu.Unlock()
-		return
+		return nil
 	}
 	delete(points, name)
 	if len(points) == 0 && hook == nil {
@@ -160,9 +162,9 @@ func hitSlow(name string) {
 	h := hook
 	mu.Unlock()
 	if h != nil {
-		h(name)
-		return
+		return h(name)
 	}
 	fmt.Fprintf(os.Stderr, "crashpoint: killing process at %q\n", name)
 	os.Exit(ExitCode)
+	return nil
 }

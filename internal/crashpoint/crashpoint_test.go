@@ -1,6 +1,9 @@
 package crashpoint
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestDisarmedHitIsNoop(t *testing.T) {
 	Disarm()
@@ -16,7 +19,7 @@ func TestCountdownFiresOnNthHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired []string
-	SetHook(func(name string) { fired = append(fired, name) })
+	SetHook(func(name string) error { fired = append(fired, name); return nil })
 	Hit("p.one")
 	Hit("p.one")
 	if len(fired) != 0 {
@@ -54,5 +57,23 @@ func TestPointsListedAndNamed(t *testing.T) {
 	}
 	if !seen[ArchiveAppendTorn] || !seen[CheckpointCloseBeforeRename] {
 		t.Fatal("expected points missing from Points()")
+	}
+}
+
+func TestHitReturnsHookError(t *testing.T) {
+	defer Disarm()
+	if err := Arm("p.fail"); err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected")
+	SetHook(func(string) error { return injected })
+	if err := Hit("p.other"); err != nil {
+		t.Fatalf("unarmed point returned %v", err)
+	}
+	if err := Hit("p.fail"); err != injected {
+		t.Fatalf("armed point returned %v, want the hook's error", err)
+	}
+	if err := Hit("p.fail"); err != nil {
+		t.Fatalf("fired point returned %v on its next hit", err)
 	}
 }

@@ -169,21 +169,25 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// Reads are buffered: one kernel read can surface many small frames.
 	br := bufio.NewReaderSize(conn, 64<<10)
-	// Overload pushback state. Fire-and-forget events rejected by admission
-	// control have no reply frame, so the server (a) pushes an msgOverload
-	// frame — throttled to one per retry-after window — telling the client
-	// to fail ingest locally for a while, and (b) remembers the rejection so
-	// the connection's next msgFlush answers with the typed overload error
-	// instead of pretending every event landed.
+	// Rejection state. Fire-and-forget events have no reply frame, so every
+	// event the server fails to ingest — shed by admission control, failed
+	// by the WAL, or in a malformed batch — is remembered, and the
+	// connection's next msgFlush answers with the count and the last typed
+	// error instead of pretending every event landed. An overload rejection
+	// also pushes an msgOverload frame, throttled to one per retry-after
+	// window, telling the client to fail ingest locally for a while.
 	var rejected uint64
-	var lastOverload error
+	var lastReject error
 	var lastPush time.Time
-	notifyOverload := func(err error, n int) {
-		if n <= 0 || !errors.Is(err, core.ErrOverloaded) {
+	reject := func(err error, n int) {
+		if n <= 0 {
 			return
 		}
 		rejected += uint64(n)
-		lastOverload = err
+		lastReject = err
+		if !errors.Is(err, core.ErrOverloaded) {
+			return
+		}
 		retry, _ := core.RetryAfterHint(err)
 		if now := time.Now(); now.Sub(lastPush) >= retry {
 			lastPush = now
@@ -209,12 +213,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			// as it stands. Errors surface via msgFlush.
 			evs, err := decodeEventBatch(f.body)
 			if err != nil {
-				// A malformed batch has no reply channel.
+				// Count the body's whole events as rejected, at least one.
+				reject(err, max(1, len(f.body)/event.WireSize))
 				continue
 			}
 			s.cfg.Metrics.eventsReceived(len(evs))
 			applied, err := core.ProcessBatch(s.node, evs)
-			notifyOverload(err, len(evs)-applied)
+			reject(err, len(evs)-applied)
 		case msgEventSync:
 			var ev event.Event
 			if err := ev.Decode(f.body); err != nil {
@@ -240,7 +245,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				// event was applied; report the loss typed instead.
 				n := rejected
 				rejected = 0
-				reply(f.reqID, errBody(fmt.Errorf("%d events rejected by admission control since last flush: %w", n, lastOverload)))
+				reply(f.reqID, errBody(fmt.Errorf("%d events rejected since last flush: %w", n, lastReject)))
 				continue
 			}
 			reply(f.reqID, okBody(nil))

@@ -247,10 +247,6 @@ func (f *Follower) apply(b Batch) error {
 	}
 	if len(evs) > 0 {
 		if err := f.node.ProcessEventBatch(evs); err != nil {
-			var pe *core.PartialBatchError
-			if errors.As(err, &pe) {
-				f.applied.Store(applied + uint64(pe.Applied))
-			}
 			return fmt.Errorf("repl: follower apply at lsn %d: %w", applied, err)
 		}
 		applied += uint64(len(evs))
