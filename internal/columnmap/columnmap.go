@@ -65,6 +65,10 @@ type ColumnMap struct {
 	// hints are the per-column compression hints (SetColHints); immutable
 	// after setup.
 	hints []vec.Hint
+	// thawCounts[b] counts bucket b's thaws, saturating; FreezeCold backs off
+	// on it. Grown only by a thaw, so a bucket past its end never thawed.
+	// Writer thread only.
+	thawCounts []uint8
 
 	// Tier accounting, guarded by mu.
 	freezes   uint64

@@ -2,6 +2,7 @@ package columnmap
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vec"
 )
@@ -55,17 +56,29 @@ func (cm *ColumnMap) AdvanceEpoch() {
 	cm.epoch++
 }
 
-// FreezeCold freezes up to maxFreeze (0 = unlimited) full hot buckets whose
-// last write is at least coldAfter epochs old. coldAfter 0 freezes every
-// full bucket not written in the current epoch. Returns the number of
-// buckets frozen. Writer thread only.
+// maxThawBackoff caps the thaw-count backoff: a bucket that keeps thawing
+// waits at most coldAfter << maxThawBackoff idle epochs before it freezes.
+const maxThawBackoff = 10
+
+// FreezeCold freezes up to maxFreeze (0 = unlimited) full hot buckets that
+// have gone unwritten long enough. A bucket never thawed needs coldAfter
+// idle epochs; one thawed t times needs coldAfter << min(t, maxThawBackoff),
+// so a bucket whose writes keep thawing it stops paying a freeze per thaw.
+// coldAfter 0 stays eager whatever the thaw count: it freezes every full
+// bucket not written in the current epoch. Returns the number of buckets
+// frozen. Writer thread only.
 func (cm *ColumnMap) FreezeCold(coldAfter uint64, maxFreeze int) int {
 	cm.mu.RLock()
 	full := cm.n / cm.bucketSize
 	var cands []int
 	for i := 0; i < full; i++ {
-		// epoch is safe to read here: only this (writer) thread writes it.
-		if cm.buckets[i].frozen == nil && cm.buckets[i].epoch+coldAfter < cm.epoch {
+		// epoch and thawCounts are safe to read here: only this (writer)
+		// thread writes them.
+		idle := coldAfter
+		if i < len(cm.thawCounts) {
+			idle <<= min(cm.thawCounts[i], maxThawBackoff)
+		}
+		if cm.buckets[i].frozen == nil && cm.buckets[i].epoch+idle < cm.epoch {
 			cands = append(cands, i)
 			if maxFreeze > 0 && len(cands) >= maxFreeze {
 				break
@@ -118,6 +131,12 @@ func (cm *ColumnMap) thawBucket(b int, fb *FrozenBucket) []uint64 {
 	data := make([]uint64, cm.slots*cm.bucketSize)
 	for c := 0; c < cm.slots; c++ {
 		vec.Decompress(&fb.chunks[c], data[c*cm.bucketSize:(c+1)*cm.bucketSize])
+	}
+	if b >= len(cm.thawCounts) {
+		cm.thawCounts = append(cm.thawCounts, make([]uint8, b+1-len(cm.thawCounts))...)
+	}
+	if cm.thawCounts[b] < math.MaxUint8 {
+		cm.thawCounts[b]++
 	}
 	cm.mu.Lock()
 	cm.buckets[b].data = data

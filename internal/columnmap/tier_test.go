@@ -250,3 +250,103 @@ func TestTierConcurrentReaders(t *testing.T) {
 		t.Fatalf("wanted tier churn under readers, got %+v", ts)
 	}
 }
+
+// TestTierThawBackoff pins freeze eligibility under the thaw-count backoff:
+// a bucket thawed t times waits coldAfter << t idle epochs, coldAfter 0
+// stays eager across thaws, and a bucket never thawed keeps the plain
+// coldAfter rule beside it.
+func TestTierThawBackoff(t *testing.T) {
+	const slots, bucketSize = 3, 8
+	for _, coldAfter := range []uint64{0, 1, 3} {
+		cm := New(slots, bucketSize)
+		rec := make([]uint64, slots)
+		for e := uint64(1); e <= 2*bucketSize; e++ {
+			rec[0] = e
+			if _, err := cm.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// frozenAfter ticks epochs until FreezeCold freezes bucket b and
+		// returns how many idle epochs that took.
+		frozenAfter := func(b int) uint64 {
+			t.Helper()
+			for idle := uint64(1); idle < 1<<20; idle++ {
+				cm.AdvanceEpoch()
+				cm.FreezeCold(coldAfter, 0)
+				cm.mu.RLock()
+				frozen := cm.buckets[b].frozen != nil
+				cm.mu.RUnlock()
+				if frozen {
+					return idle
+				}
+			}
+			t.Fatalf("coldAfter %d: bucket %d never froze", coldAfter, b)
+			return 0
+		}
+		// Never thawed: today's rule, coldAfter+1 idle epochs.
+		if got := frozenAfter(0); got != coldAfter+1 {
+			t.Fatalf("coldAfter %d: unthawed bucket froze after %d idle epochs, want %d", coldAfter, got, coldAfter+1)
+		}
+		for thaws := uint64(1); thaws <= 4; thaws++ {
+			rec[0] = 1 // bucket 0: thaws it and restamps its epoch
+			if err := cm.Upsert(rec); err != nil {
+				t.Fatal(err)
+			}
+			if ts := cm.Tier(); ts.Thaws != thaws {
+				t.Fatalf("coldAfter %d: %d thaws, want %d", coldAfter, ts.Thaws, thaws)
+			}
+			want := coldAfter<<thaws + 1
+			if got := frozenAfter(0); got != want {
+				t.Fatalf("coldAfter %d after %d thaws: froze after %d idle epochs, want %d", coldAfter, thaws, got, want)
+			}
+		}
+		// A bucket filled now has never thawed: it needs only coldAfter+1
+		// idle epochs, though bucket 0 beside it backs off.
+		for e := uint64(2*bucketSize + 1); e <= 3*bucketSize; e++ {
+			rec[0] = e
+			if _, err := cm.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := frozenAfter(2); got != coldAfter+1 {
+			t.Fatalf("coldAfter %d: unthawed neighbour froze after %d idle epochs, want %d", coldAfter, got, coldAfter+1)
+		}
+	}
+}
+
+// TestTierThawBackoffSaturates: the thaw count saturates and the shift is
+// capped, so a bucket thawed hundreds of times still freezes after
+// coldAfter << maxThawBackoff idle epochs.
+func TestTierThawBackoffSaturates(t *testing.T) {
+	const slots, bucketSize, coldAfter = 2, 4, 1
+	cm := New(slots, bucketSize)
+	rec := make([]uint64, slots)
+	for e := uint64(1); e <= bucketSize; e++ {
+		rec[0] = e
+		if _, err := cm.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		cm.AdvanceEpoch()
+		cm.AdvanceEpoch()
+		cm.FreezeCold(0, 0) // eager: freeze so the next write thaws
+		rec[0] = 1
+		if err := cm.Upsert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cm.thawCounts[0] != 255 {
+		t.Fatalf("thaw count %d, want saturated at 255", cm.thawCounts[0])
+	}
+	for idle := 1; idle <= coldAfter<<maxThawBackoff; idle++ {
+		cm.AdvanceEpoch()
+		if n := cm.FreezeCold(coldAfter, 0); n != 0 {
+			t.Fatalf("froze after %d idle epochs, want %d", idle, coldAfter<<maxThawBackoff+1)
+		}
+	}
+	cm.AdvanceEpoch()
+	if n := cm.FreezeCold(coldAfter, 0); n != 1 {
+		t.Fatalf("not frozen after %d idle epochs", coldAfter<<maxThawBackoff+1)
+	}
+}

@@ -20,8 +20,8 @@ import (
 // Correctness hangs on two orderings:
 //
 //  1. Producers make archive-append + worker-enqueue atomic under
-//     ingestMu.RLock (see StorageNode.ingest).
-//  2. The checkpointer takes ingestMu.Lock, reads the next LSN as the
+//     ingestMu (see StorageNode.ingest), so events are applied in log order.
+//  2. The checkpointer takes ingestMu, reads the next LSN as the
 //     watermark W, and enqueues one capture barrier per ESP worker before
 //     unlocking. Worker queues are FIFO, so when a barrier runs, its worker
 //     has applied every event with LSN < W and no event with LSN >= W.

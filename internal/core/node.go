@@ -150,12 +150,15 @@ type StorageNode struct {
 	wg       sync.WaitGroup
 	stopped  atomic.Bool
 
-	// ingestMu orders event ingest against the fuzzy-checkpoint barrier:
-	// producers hold the read side across archive-append + worker-enqueue
-	// (making the pair atomic), the checkpointer takes the write side to pin
-	// a watermark W with every event below W already queued ahead of the
-	// capture barrier and no event at/above W queued behind it.
-	ingestMu sync.RWMutex
+	// ingestMu makes archive-append + worker-enqueue one step, so the
+	// order events are logged in is the order they are applied in. A
+	// producer holds it across the pair; a shared lock would let two
+	// producers log in one order and enqueue in the other, and recovery
+	// would then rebuild a matrix the live node never held. The
+	// checkpointer takes it to pin a watermark W with every event below W
+	// already queued ahead of the capture barrier and no event at/above W
+	// queued behind it.
+	ingestMu sync.Mutex
 	// ckptMu serializes checkpoints (one fuzzy snapshot at a time).
 	ckptMu sync.Mutex
 	// forceFull is set when an incremental checkpoint fails after the
@@ -366,8 +369,8 @@ func (n *StorageNode) ProcessEventBatch(evs []event.Event) error {
 }
 
 // ingest logs evs (when archived) and hands them to the ESP workers, taking
-// ownership of evs. With an archive, append + enqueue happen under
-// ingestMu's read side so the pair is atomic with respect to the
+// ownership of evs. With an archive, append + enqueue happen under ingestMu,
+// so log order is apply order and the pair is atomic with respect to the
 // fuzzy-checkpoint watermark pin. A failed append applies nothing and
 // returns archive.ErrFailed, as does every later ingest: the archive is
 // fail-stop. resp, when non-nil, receives the worker's reply; only
@@ -377,8 +380,8 @@ func (n *StorageNode) ingest(evs []event.Event, resp chan espResponse) error {
 		n.enqueueBatch(evs, resp)
 		return nil
 	}
-	n.ingestMu.RLock()
-	defer n.ingestMu.RUnlock()
+	n.ingestMu.Lock()
+	defer n.ingestMu.Unlock()
 	if _, _, err := n.cfg.Archive.AppendBatch(evs); err != nil {
 		return err
 	}

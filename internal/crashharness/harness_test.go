@@ -283,12 +283,54 @@ func compareStates(t *testing.T, iter int, cli *netproto.Client, ref map[uint64]
 	}
 }
 
+// killTally counts, per armed kill point, the iterations whose child died
+// at that point (exit crashpoint.ExitCode) and those the harness killed at
+// its deadline because the workload never reached it. A point whose
+// iterations all fall back is a point the campaign does not exercise.
+type killTally map[string]*[2]int
+
+// add records one armed iteration's outcome; spec is "point:count".
+func (k killTally) add(spec string, exitCode int) {
+	p, _, _ := strings.Cut(spec, ":")
+	if k[p] == nil {
+		k[p] = new([2]int)
+	}
+	if exitCode == crashpoint.ExitCode {
+		k[p][0]++
+	} else {
+		k[p][1]++
+	}
+}
+
+// log reports the tally in Points() order.
+func (k killTally) log(t *testing.T) {
+	t.Helper()
+	for _, p := range crashpoint.Points() {
+		if c := k[p]; c != nil {
+			t.Logf("kill point %-30s fired %2d, deadline fallback %2d", p, c[0], c[1])
+		}
+	}
+}
+
+// fsyncFor returns the extra flag an iteration armed at spec needs for its
+// point to be reachable: archive.append.before-sync sits on the per-append
+// fsync path, which only -fsync takes.
+func fsyncFor(spec string) []string {
+	if strings.HasPrefix(spec, crashpoint.ArchiveAppendBeforeSync+":") {
+		return []string{"-fsync"}
+	}
+	return nil
+}
+
 // TestCrashRecoveryRandomKillPoints is the crash-injection campaign: each
 // iteration runs a live ingest+checkpoint workload, kills the server at a
 // random crashpoint (or a random wall-clock instant), restarts it with
 // -recover auto, and verifies the recovered matrix against a synchronous
-// replay of the salvaged archive. AIM_CRASH_KILLS sets the iteration count
-// (default 8 so plain `go test` stays fast; `make crash` runs 100).
+// replay of the salvaged archive. A tiered child can hit its kill point
+// before it listens or before the harness dials it; nothing was ingested
+// then, and the same recovery and record-for-record check run on whatever
+// its salvaged WAL holds. AIM_CRASH_KILLS sets the iteration count (default
+// 8 so plain `go test` stays fast; `make crash` runs 100).
 func TestCrashRecoveryRandomKillPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash harness skipped in -short")
@@ -313,6 +355,8 @@ func TestCrashRecoveryRandomKillPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	bin := buildServer(t)
 	points := crashpoint.Points()
+	tally := killTally{}
+	defer tally.log(t)
 
 	for iter := 0; iter < iters; iter++ {
 		iterDir := filepath.Join(t.TempDir(), fmt.Sprintf("it%03d", iter))
@@ -339,43 +383,61 @@ func TestCrashRecoveryRandomKillPoints(t *testing.T) {
 		}
 
 		extra := []string{"-checkpoint-every", "25ms", "-base-every", "3", "-checkpoint-gc=false"}
+		extra = append(extra, fsyncFor(spec)...)
 		if tiered {
 			extra = append(extra, "-bucket", "8", "-bucket-freeze", "-cold-after", "0")
-		}
-		srv, err := startServer(t, bin, dataDir, spec, extra...)
-		if err != nil {
-			t.Fatalf("iter %d (spec %q): %v", iter, spec, err)
 		}
 		sch, err := workload.BuildSmallSchema()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cli, err := netproto.DialConfig(srv.addr, sch, netproto.ClientConfig{
-			CallTimeout: 2 * time.Second, MaxRetries: -1, DisableReconnect: true,
-		})
-		if err != nil {
-			t.Fatalf("iter %d: dial: %v", iter, err)
-		}
-		var stop atomic.Bool
-		sentCh := make(chan int, 1)
-		go func() { sentCh <- ingest(cli, &stop) }()
-
+		srv, err := startServer(t, bin, dataDir, spec, extra...)
+		var cli *netproto.Client
 		var exitCode int
-		if spec == "" {
-			// Timed kill: let ingest+checkpoints run, then pull the plug.
-			time.Sleep(time.Duration(150+rng.Intn(600)) * time.Millisecond)
-			srv.sigkill()
-			exitCode = -1
+		if err == nil {
+			cli, err = netproto.DialConfig(srv.addr, sch, netproto.ClientConfig{
+				CallTimeout: 2 * time.Second, MaxRetries: -1, DisableReconnect: true,
+			})
+			if err != nil {
+				if exitCode = srv.waitExit(4 * time.Second); exitCode != crashpoint.ExitCode {
+					t.Fatalf("iter %d (spec %q): dial: %v", iter, spec, err)
+				}
+			}
+		} else if strings.Contains(err.Error(), "crashpoint: killing process") {
+			exitCode = crashpoint.ExitCode
 		} else {
-			// Wait for the armed point to fire; if the workload never
-			// reaches it, fall back to a hard kill at the deadline.
-			exitCode = srv.waitExit(4 * time.Second)
+			t.Fatalf("iter %d (spec %q): %v", iter, spec, err)
 		}
-		stop.Store(true)
-		sent := <-sentCh
-		cli.Close()
+
+		sent := 0
+		if cli == nil {
+			// Killed at its armed point before any client connected: nothing
+			// was ingested, and recovery must rebuild exactly what the
+			// salvaged WAL holds.
+			t.Logf("iter %d (spec %q): server killed before any client connected; checking recovery of its salvaged WAL", iter, spec)
+		} else {
+			var stop atomic.Bool
+			sentCh := make(chan int, 1)
+			go func() { sentCh <- ingest(cli, &stop) }()
+			if spec == "" {
+				// Timed kill: let ingest+checkpoints run, then pull the plug.
+				time.Sleep(time.Duration(150+rng.Intn(600)) * time.Millisecond)
+				srv.sigkill()
+				exitCode = -1
+			} else {
+				// Wait for the armed point to fire; if the workload never
+				// reaches it, fall back to a hard kill at the deadline.
+				exitCode = srv.waitExit(4 * time.Second)
+			}
+			stop.Store(true)
+			sent = <-sentCh
+			cli.Close()
+		}
 		if exitCode == 0 {
 			t.Fatalf("iter %d (spec %q): server exited cleanly mid-campaign", iter, spec)
+		}
+		if spec != "" {
+			tally.add(spec, exitCode)
 		}
 
 		// Reference: salvage + synchronously replay a private copy of the

@@ -74,6 +74,8 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	bin := buildServer(t)
 	points := crashpoint.Points()
+	tally := killTally{}
+	defer tally.log(t)
 
 	sch, err := workload.BuildSmallSchema()
 	if err != nil {
@@ -104,6 +106,7 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 		}
 		extra := []string{"-checkpoint-every", "25ms", "-base-every", "3", "-checkpoint-gc=false",
 			"-repl-heartbeat", "5ms"}
+		extra = append(extra, fsyncFor(spec)...)
 		if tiered {
 			extra = append(extra, "-bucket", "8", "-bucket-freeze", "-cold-after", "0")
 		}
@@ -132,6 +135,7 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 				t.Fatalf("iter %d (spec %q): primary killed before any client connected holds %d events", iter, spec, n)
 			}
 			truth.Close()
+			tally.add(spec, crashpoint.ExitCode)
 			t.Logf("iter %d (spec %q): primary killed before any client connected; salvaged WAL empty", iter, spec)
 			if err := os.RemoveAll(iterDir); err != nil {
 				t.Fatal(err)
@@ -254,6 +258,9 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 		}
 		if exitCode == 0 {
 			t.Fatalf("iter %d (spec %q): primary exited cleanly mid-campaign", iter, spec)
+		}
+		if spec != "" {
+			tally.add(spec, exitCode)
 		}
 
 		// The failure monitor must promote the follower on its own.

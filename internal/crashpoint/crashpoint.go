@@ -12,8 +12,12 @@
 //	AIM_CRASHPOINTS="checkpoint.close.before-rename"  // die on the 1st hit
 //
 // Tests inside this module can install a hook instead of dying. Hit returns
-// the hook's error, so a call site that propagates it (the archive's write,
-// sync and rotate points) turns a kill point into an error-injection point.
+// the hook's error, and three call sites propagate it, turning their kill
+// point into an error-injection point: archive.append.before-write,
+// archive.append.before-sync and archive.rotate.after-create. Every other
+// point is kill-only — its call site ignores the hook's error: the torn-write
+// points archive.append.torn and archive.append.batch-torn,
+// archive.truncate.mid, core.bucket-freeze, and the four checkpoint points.
 package crashpoint
 
 import (

@@ -10,7 +10,10 @@
 // directly, so cold buckets are scanned in place without materializing.
 package vec
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Hint tells the encoder how a column's 64-bit patterns are interpreted.
 // FOR needs it to pick the base in the right order domain (signed vs
@@ -118,10 +121,15 @@ func packedWords(n int, width uint8) int {
 	return (n + per - 1) / per
 }
 
-// Compress analyzes col[:n] in one pass and returns the cheapest encoding by
-// exact cost in 64-bit words. Ties prefer the shape with the fastest direct
-// scan kernel (Const > FOR > Dict > RLE > Raw). The result owns its memory:
-// the caller may reuse or release col afterwards.
+// Compress analyzes col[:n] and returns the cheapest encoding by exact cost
+// in 64-bit words. Ties prefer the shape with the fastest direct scan kernel
+// (Const > FOR > Dict > RLE > Raw). The result owns its memory: the caller
+// may reuse or release col afterwards.
+//
+// One pass measures runs and range, which prices Const, FOR, RLE and Raw. A
+// dictionary pass over a pooled open-addressed table follows only when a
+// dictionary small enough to win is possible, and stops as soon as the
+// column holds more distinct values than that.
 func Compress(col []uint64, n int, hint Hint) Chunk {
 	if n == 0 {
 		return Chunk{Enc: EncConst, Hint: hint}
@@ -130,8 +138,6 @@ func Compress(col []uint64, n int, hint Hint) Chunk {
 	first := col[0]
 	runs := 1
 	minU, maxU := first, first
-	distinct := map[uint64]uint32{first: 0}
-	dictOK := true
 	prev := first
 	for _, v := range col[1:] {
 		if v != prev {
@@ -143,15 +149,6 @@ func Compress(col []uint64, n int, hint Hint) Chunk {
 		}
 		if v > maxU {
 			maxU = v
-		}
-		if dictOK {
-			if _, ok := distinct[v]; !ok {
-				if len(distinct) >= MaxDictSize {
-					dictOK = false
-				} else {
-					distinct[v] = uint32(len(distinct))
-				}
-			}
 		}
 	}
 	if minU == maxU {
@@ -186,14 +183,17 @@ func Compress(col []uint64, n int, hint Hint) Chunk {
 			bestCost, bestEnc = c, EncFOR
 		}
 	}
-	var dictWidth uint8
-	if dictOK {
-		dictWidth = widthFor(uint64(len(distinct) - 1))
-		if c := packedWords(n, dictWidth) + len(distinct) + 2; c < bestCost {
-			bestCost, bestEnc = c, EncDict
+	rleCost := runs + (runs+1)/2 + 2
+	// Dict must cost strictly less than Raw and FOR and at most RLE.
+	var dt *dictTable
+	if limit := dictLimit(n, min(bestCost, rleCost+1)); limit > 0 {
+		dt = dictPool.Get().(*dictTable)
+		defer dt.release()
+		if dt.build(col, limit) {
+			bestCost, bestEnc = packedWords(n, widthFor(uint64(dt.size-1)))+dt.size+2, EncDict
 		}
 	}
-	if c := runs + (runs+1)/2 + 2; c < bestCost {
+	if rleCost < bestCost {
 		bestEnc = EncRLE
 	}
 
@@ -208,15 +208,14 @@ func Compress(col []uint64, n int, hint Hint) Chunk {
 		return Chunk{Enc: EncFOR, Hint: hint, N: n, Width: forWidth,
 			Base: forBase, MaxCode: forRange, Packed: packed}
 	case EncDict:
-		dict := make([]uint64, len(distinct))
-		for v, c := range distinct {
-			dict[c] = v
-		}
+		dictWidth := widthFor(uint64(dt.size - 1))
+		dict := make([]uint64, dt.size)
+		copy(dict, dt.vals[:dt.size])
 		packed := make([]uint64, packedWords(n, dictWidth))
 		per := 64 / uint(dictWidth)
 		for i, v := range col {
 			k := uint(i)
-			packed[k/per] |= uint64(distinct[v]) << (k % per * uint(dictWidth))
+			packed[k/per] |= uint64(dt.code(v)) << (k % per * uint(dictWidth))
 		}
 		return Chunk{Enc: EncDict, Hint: hint, N: n, Width: dictWidth,
 			Dict: dict, Packed: packed}
@@ -239,6 +238,92 @@ func Compress(col []uint64, n int, hint Hint) Chunk {
 		copy(w, col)
 		return Chunk{Enc: EncRaw, Hint: hint, N: n, Words: w}
 	}
+}
+
+// dictLimit returns the most distinct values a dictionary over n records may
+// hold while costing less than budget words, or 0 when even two values (the
+// fewest a non-Const column has) cost too much. Cost grows with the distinct
+// count, so the admissible counts are exactly 2..limit.
+func dictLimit(n, budget int) int {
+	limit := 0
+	for _, b := range [...]struct{ width, lo, hi int }{{1, 2, 2}, {2, 3, 4}, {4, 5, 16}, {8, 17, MaxDictSize}} {
+		d := min(b.hi, budget-1-2-packedWords(n, uint8(b.width)))
+		if d < b.lo {
+			break
+		}
+		limit = d
+	}
+	return limit
+}
+
+// dictSlotBits sizes the encoder's dictionary table: 1024 slots, four per
+// admissible value, so linear probes stay short.
+const dictSlotBits = 10
+
+// dictTable is an open-addressed value -> code table reused across Compress
+// calls. codes holds code+1 (0 marks an empty slot); codes are handed out in
+// first-appearance order, vals[code] is the value and slots[code] where it
+// sits, so release touches only the slots a call used.
+type dictTable struct {
+	keys  [1 << dictSlotBits]uint64
+	codes [1 << dictSlotBits]uint16
+	vals  [MaxDictSize]uint64
+	slots [MaxDictSize]uint16
+	size  int
+}
+
+var dictPool = sync.Pool{New: func() any { return new(dictTable) }}
+
+// home is v's first probe slot (Fibonacci hashing).
+func (dt *dictTable) home(v uint64) uint {
+	return uint(v * 0x9E3779B97F4A7C15 >> (64 - dictSlotBits))
+}
+
+// build assigns codes to col's distinct values in first-appearance order and
+// reports whether there are at most limit of them.
+func (dt *dictTable) build(col []uint64, limit int) bool {
+	const mask = 1<<dictSlotBits - 1
+	for _, v := range col {
+		h := dt.home(v)
+		for {
+			c := dt.codes[h]
+			if c == 0 {
+				if dt.size == limit {
+					return false
+				}
+				dt.keys[h] = v
+				dt.codes[h] = uint16(dt.size + 1)
+				dt.vals[dt.size] = v
+				dt.slots[dt.size] = uint16(h)
+				dt.size++
+				break
+			}
+			if dt.keys[h] == v {
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	return true
+}
+
+// code returns the code build assigned to v, which must be in the table.
+func (dt *dictTable) code(v uint64) uint16 {
+	const mask = 1<<dictSlotBits - 1
+	h := dt.home(v)
+	for dt.keys[h] != v || dt.codes[h] == 0 {
+		h = (h + 1) & mask
+	}
+	return dt.codes[h] - 1
+}
+
+// release empties the slots build used and returns the table to the pool.
+func (dt *dictTable) release() {
+	for _, s := range dt.slots[:dt.size] {
+		dt.codes[s] = 0
+	}
+	dt.size = 0
+	dictPool.Put(dt)
 }
 
 // Decompress materializes the chunk into dst (grown if needed) and returns

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -347,8 +348,8 @@ func TestChunkCmpShortN(t *testing.T) {
 	}
 }
 
-// FuzzChunkKernels cross-checks compress/scan against the raw kernels on
-// arbitrary byte-derived columns.
+// FuzzChunkKernels cross-checks compress/scan against the raw kernels, and
+// Compress against its map-based oracle, on arbitrary byte-derived columns.
 func FuzzChunkKernels(f *testing.F) {
 	f.Add(int64(1), 100, uint8(0))
 	f.Add(int64(99), 65, uint8(1))
@@ -361,6 +362,9 @@ func FuzzChunkKernels(f *testing.F) {
 		col := chunkShapes[int(shape)%len(chunkShapes)].gen(r, n)
 		for _, hint := range []Hint{HintUint, HintInt, HintFloat} {
 			ch := Compress(col, n, hint)
+			if want := CompressOracle(col, n, hint); !reflect.DeepEqual(ch, want) {
+				t.Fatalf("hint %d: chunk %v differs from oracle %v", hint, ch.Enc, want.Enc)
+			}
 			got := Decompress(&ch, nil)
 			for i := range col {
 				if got[i] != col[i] {
